@@ -176,13 +176,12 @@ func BenchmarkFleetScale(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetScaleParallel is BenchmarkFleetScale with the event loop
-// sharded eight ways. Sprint-aware dispatch couples the shards (every
-// arrival takes a fleet-wide argmin), so this runs the serialized-merge
-// engine — per-shard heaps and index segments replayed in exact global
-// order on one goroutine — and measures the sharding machinery's
-// overhead against the single-loop baseline, not a speedup. The
-// concurrent engine's speedup is BenchmarkFleetScaleDecoupledParallel.
+// BenchmarkFleetScaleParallel is BenchmarkFleetScale with Workers = 8.
+// Sprint-aware dispatch is coupled (every arrival takes a fleet-wide
+// argmin), so Workers is a no-op and the run takes the same single loop:
+// this pins ScaleParallel ≈ Scale, and a sharding cost creeping back
+// into coupled runs would show as a gap between the two. The concurrent
+// engine's speedup is BenchmarkFleetScaleDecoupledParallel.
 func BenchmarkFleetScaleParallel(b *testing.B) {
 	cfg := sprinting.DefaultFleetConfig(sprinting.FleetSprintAware)
 	cfg.Nodes = 10000
@@ -242,8 +241,8 @@ func BenchmarkFleetScaleDecoupledParallel(b *testing.B) {
 
 // BenchmarkFleetTrace measures the flight recorder's on-path cost: a
 // sprint-aware token-permit fleet with full-level tracing, top-3
-// counterfactual probes, and 5 s timeline windows. Tracing forces the
-// serialized engine and buffers the whole recording in memory, so this
+// counterfactual probes, and 5 s timeline windows. Tracing runs the
+// single loop and buffers the whole recording in memory, so this
 // is the price of observability — compare against BenchmarkFleetTraceOff
 // to isolate it.
 func BenchmarkFleetTrace(b *testing.B) {

@@ -9,12 +9,13 @@
 //
 // Multi-policy sweeps run concurrently on the engine worker pool; every
 // simulation is deterministic, so -workers=1 produces byte-identical
-// output. Independently, -shard-workers W shards each simulation's own
-// event loop across W per-worker loops with racks as the shard boundary;
-// the output is byte-identical at every W (decoupled configurations run
-// the shards on real goroutines, coupled ones replay the exact global
-// event order through a deterministic K-way merge). Ctrl-C cancels a
-// long sweep cleanly.
+// output. Independently, -shard-workers W shards a decoupled
+// simulation's own event loop (round-robin dispatch without
+// probabilistic admission, no scenario, trace, reliability layer, or
+// workload) across W concurrent per-worker loops with racks as the
+// shard boundary; every other run takes the single loop, so the flag is
+// a no-op for it. The output is byte-identical at every W. Ctrl-C
+// cancels a long sweep cleanly.
 //
 // Usage:
 //
@@ -26,7 +27,8 @@
 //	fleetsim -coordination uncoordinated -rack-budget-w 31 -rate 9.6
 //	fleetsim -nodes 10000 -requests 1000000 -policy sprint-aware \
 //	    -coordination token-permit -rack-size 16 # warehouse scale, seconds
-//	fleetsim -nodes 10000 -requests 1000000 -shard-workers 8 # sharded loop
+//	fleetsim -nodes 10000 -requests 1000000 -policy round-robin \
+//	    -shard-workers 8                        # sharded decoupled loop
 //	fleetsim -nodes 10000 -requests 1000000 -cpuprofile fleet.pprof
 //	fleetsim -policy sprint-aware -trace out.jsonl -trace-summary
 //	fleetsim -gray-frac 0.15 -gray-slowdown 8 -timeout-s 6 \
@@ -118,6 +120,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -375,7 +378,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		hedgeS   = fs.Float64("hedge-s", 1, "hedged policy: duplicate a request unfinished after this many seconds (0 selects the default 1)")
 		workers  = fs.Int("workers", 0, "engine pool size (0 = GOMAXPROCS, 1 = serial)")
 
-		shardWorkers = fs.Int("shard-workers", 0, "shard each simulation's event loop across this many per-worker loops with racks as the shard boundary; results are byte-identical at any count (0 or 1 = classic single loop)")
+		shardWorkers = fs.Int("shard-workers", 0, "shard a decoupled simulation's event loop (round-robin without probabilistic admission, no scenario/trace/reliability/workload) across this many concurrent per-worker loops with racks as the shard boundary; a no-op for every other run; results are byte-identical at any count (0 or 1 = classic single loop)")
 
 		exactQ     = fs.Bool("exact-quantiles", false, "buffer and sort every latency for exact quantiles at any scale (default: exact up to 131072 requests, streaming histogram above)")
 		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
@@ -419,9 +422,22 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 
 	// Reject incoherent flag combinations instead of silently ignoring
 	// them: a flag that only parameterizes a subsystem the other flags
-	// switched off is a user error worth a loud answer.
+	// switched off is a user error worth a loud answer. So is a non-finite
+	// number, which flag.Float64 parses ("NaN", "Inf") without complaint.
 	set := map[string]bool{}
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	nonFinite := ""
+	fs.Visit(func(f *flag.Flag) {
+		set[f.Name] = true
+		if g, ok := f.Value.(flag.Getter); ok && nonFinite == "" {
+			if v, ok := g.Get().(float64); ok && (math.IsNaN(v) || math.IsInf(v, 0)) {
+				nonFinite = f.Name
+			}
+		}
+	})
+	if nonFinite != "" {
+		fmt.Fprintf(stderr, "fleetsim: -%s must be a finite number\n", nonFinite)
+		return 2
+	}
 	if set["permits"] && *coordination != "token-permit" && *coordination != "all" {
 		fmt.Fprintf(stderr, "fleetsim: -permits only applies to token-permit coordination (got -coordination %s)\n", *coordination)
 		return 2
@@ -542,9 +558,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 	rackMode := len(coords) > 1 || coords[0] != sprinting.RackNoCoordination
 
-	// mkCfg builds one run's config from the shared flags for the modes
-	// that own their load profile (replay and workload), so Requests and
-	// ArrivalRatePerS stay out of it.
+	// mkCfg builds one run's config from the shared flags; Requests and
+	// ArrivalRatePerS stay out of it because only the synthetic mode
+	// reads them (replay, workload, and scenario own their load profile).
 	mkCfg := func(p sprinting.FleetPolicy, c sprinting.RackCoordination) sprinting.FleetConfig {
 		cfg := sprinting.DefaultFleetConfig(p)
 		cfg.Nodes = *nodes
@@ -565,6 +581,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			GrayFrac: *grayFrac, GraySlowdownX: *graySlowdown, FaultProb: *faultProb,
 		}
 		cfg.Workers = *shardWorkers
+		cfg.Trace = traceCfg
 		return cfg
 	}
 
@@ -654,27 +671,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		var scs []sprinting.ScenarioConfig
 		for _, p := range policies {
 			for _, c := range coords {
-				cfg := sprinting.DefaultFleetConfig(p)
-				cfg.Nodes = *nodes
-				cfg.MeanWorkS = *work
-				cfg.Seed = *seed
-				cfg.QueueCap = *queue
-				cfg.HedgeDelayS = *hedgeS
-				cfg.ExactQuantiles = *exactQ
-				cfg.Coordination = c
-				cfg.RackSize = *rackSize
-				cfg.RackPowerBudgetW = *rackBudgetW
-				cfg.RackBufferJ = *rackBufferJ
-				cfg.SprintPermits = *permits
-				cfg.BreakerRecoveryS = *recoveryS
-				cfg.Reliability = sprinting.FleetReliability{
-					TimeoutS: *timeoutS, MaxRetries: *maxRetries, RetryBackoffS: *retryBackoffS,
-					RetryBudgetPerS: *retryBudget, RetryBurst: *retryBurst,
-					GrayFrac: *grayFrac, GraySlowdownX: *graySlowdown, FaultProb: *faultProb,
-				}
-				cfg.Workers = *shardWorkers
-				cfg.Trace = traceCfg
-				scs = append(scs, sprinting.ScenarioConfig{Fleet: cfg, Scenario: scen})
+				scs = append(scs, sprinting.ScenarioConfig{Fleet: mkCfg(p, c), Scenario: scen})
 			}
 		}
 		if wspec != nil {
@@ -711,28 +708,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	var cfgs []sprinting.FleetConfig
 	for _, p := range policies {
 		for _, c := range coords {
-			cfg := sprinting.DefaultFleetConfig(p)
-			cfg.Nodes = *nodes
+			cfg := mkCfg(p, c)
 			cfg.Requests = *requests
 			cfg.ArrivalRatePerS = *rate
-			cfg.MeanWorkS = *work
-			cfg.Seed = *seed
-			cfg.QueueCap = *queue
-			cfg.HedgeDelayS = *hedgeS
-			cfg.ExactQuantiles = *exactQ
-			cfg.Coordination = c
-			cfg.RackSize = *rackSize
-			cfg.RackPowerBudgetW = *rackBudgetW
-			cfg.RackBufferJ = *rackBufferJ
-			cfg.SprintPermits = *permits
-			cfg.BreakerRecoveryS = *recoveryS
-			cfg.Reliability = sprinting.FleetReliability{
-				TimeoutS: *timeoutS, MaxRetries: *maxRetries, RetryBackoffS: *retryBackoffS,
-				RetryBudgetPerS: *retryBudget, RetryBurst: *retryBurst,
-				GrayFrac: *grayFrac, GraySlowdownX: *graySlowdown, FaultProb: *faultProb,
-			}
-			cfg.Workers = *shardWorkers
-			cfg.Trace = traceCfg
 			cfgs = append(cfgs, cfg)
 		}
 	}

@@ -120,6 +120,21 @@ func TestRackWorkerCountDoesNotChangeOutput(t *testing.T) {
 	}
 }
 
+// TestNonFiniteFlagsFail: flag.Float64 parses NaN and Inf, which used to
+// reach the simulator — a NaN mean work reported zero latencies and a
+// NaN rack budget looped forever. They are flag errors now.
+func TestNonFiniteFlagsFail(t *testing.T) {
+	for _, args := range [][]string{
+		{"-work", "NaN"},
+		{"-work", "+Inf"},
+		{"-coordination", "uncoordinated", "-rack-budget-w", "NaN"},
+	} {
+		if _, code := runOut(t, args...); code != 2 {
+			t.Errorf("%v should exit 2, got %d", args, code)
+		}
+	}
+}
+
 func TestBadRackFlagsFail(t *testing.T) {
 	if _, code := runOut(t, "-coordination", "nope"); code != 2 {
 		t.Errorf("bad coordination should exit 2, got %d", code)

@@ -84,7 +84,8 @@ func FleetReliability(ctx context.Context, opt Options) ([]*table.Table, error) 
 	}
 	metrics, err := engine.Map(ctx, cfgs,
 		func(ctx context.Context, cfg fleet.Config) (fleet.Metrics, error) {
-			return fleet.SimulateScenario(ctx, cfg, sc)
+			m, _, err := fleet.Run(ctx, fleet.Spec{Config: cfg, Scenario: &sc})
+			return m, err
 		}, opt.engineOptions())
 	if err != nil {
 		return nil, err

@@ -69,7 +69,8 @@ func FleetScenarios(ctx context.Context, opt Options) ([]*table.Table, error) {
 	}
 	metrics, err := engine.Map(ctx, cells,
 		func(ctx context.Context, c cell) (fleet.Metrics, error) {
-			return fleet.SimulateScenario(ctx, c.cfg, c.sc)
+			m, _, err := fleet.Run(ctx, fleet.Spec{Config: c.cfg, Scenario: &c.sc})
+			return m, err
 		}, opt.engineOptions())
 	if err != nil {
 		return nil, err

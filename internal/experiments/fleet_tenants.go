@@ -58,7 +58,9 @@ func FleetTenants(ctx context.Context, opt Options) ([]*table.Table, error) {
 	}
 	metrics, err := engine.Map(ctx, disciplines,
 		func(ctx context.Context, disc string) (fleet.Metrics, error) {
-			return fleet.SimulateWorkload(ctx, base(), tenantMix(opt.Scale, disc))
+			w := tenantMix(opt.Scale, disc)
+			m, _, err := fleet.Run(ctx, fleet.Spec{Config: base(), Workload: &w})
+			return m, err
 		}, opt.engineOptions())
 	if err != nil {
 		return nil, err

@@ -56,7 +56,8 @@ func RackCoordination(ctx context.Context, opt Options) ([]*table.Table, error) 
 	}
 	metrics, err := engine.Map(ctx, cells,
 		func(ctx context.Context, cfg fleet.Config) (fleet.Metrics, error) {
-			return fleet.Simulate(ctx, cfg)
+			m, _, err := fleet.Run(ctx, fleet.Spec{Config: cfg})
+			return m, err
 		}, opt.engineOptions())
 	if err != nil {
 		return nil, err

@@ -112,21 +112,19 @@ type Config struct {
 	// whose mean/max remain exact (Metrics.ApproxQuantiles reports which
 	// mode ran).
 	ExactQuantiles bool
-	// Workers shards the event loop across this many per-worker loops,
-	// each owning a contiguous rack range with its own event heap and
-	// dispatch-index segments (see shard.go). 0 or 1 runs the classic
-	// single loop; any value is clamped to the number of rack groups.
-	// Results are byte-identical at every worker count: fully decoupled
-	// configurations (round-robin dispatch without Probabilistic rack
-	// admission, outside scenario mode) run their shards on parallel
-	// goroutines, while coupled policies replay the exact global event
-	// order through a serialized merge of the per-shard loops.
+	// Workers shards a decoupled run's event loop across this many
+	// concurrent per-worker loops, each owning a contiguous rack range
+	// (see shard.go); any value is clamped to the number of rack groups.
+	// Decoupled means round-robin dispatch without Probabilistic rack
+	// admission, outside scenario mode, with no recorder, reliability
+	// layer, or workload. Every other run is coupled and takes the single
+	// loop whatever Workers says, so for it the field is a no-op. Results
+	// are byte-identical at every worker count.
 	Workers int
 
 	// Trace configures the flight recorder (see TraceConfig in trace.go).
-	// Simulate and SimulateScenario ignore it entirely — recording
-	// requires the SimulateTraced / SimulateScenarioTraced entry points,
-	// so the plain hot path pays nothing for the field's existence.
+	// Run records exactly when Trace.Level is not off; at LevelOff the
+	// rest of the field is inert and the hot path pays nothing for it.
 	Trace TraceConfig
 
 	// Coordination selects the rack sprint-arbitration policy; the zero
@@ -301,21 +299,28 @@ func (c Config) EffectiveRatePerS() float64 {
 	return 0.85 * float64(c.Nodes) / c.MeanWorkS
 }
 
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // Validate reports configuration errors (after defaults are applied).
+// Every float must be finite: NaN slips past ordered comparisons, so a
+// check written as "v < 0" alone would accept it.
 func (c Config) Validate() error {
 	switch {
 	case c.Nodes <= 0:
 		return fmt.Errorf("fleet: need at least one node")
 	case c.Requests <= 0:
 		return fmt.Errorf("fleet: need at least one request")
-	case c.MeanWorkS <= 0:
-		return fmt.Errorf("fleet: mean work must be positive")
+	case !(c.MeanWorkS > 0) || !finite(c.MeanWorkS):
+		return fmt.Errorf("fleet: mean work must be positive and finite")
 	case c.QueueCap <= 0:
 		return fmt.Errorf("fleet: queue capacity must be positive")
 	case c.SprintWidth <= 0:
 		return fmt.Errorf("fleet: sprint width must be positive")
-	case !(c.EffectiveRatePerS() > 0) || math.IsInf(c.EffectiveRatePerS(), 0):
+	case math.IsNaN(c.ArrivalRatePerS) || !(c.EffectiveRatePerS() > 0) || !finite(c.EffectiveRatePerS()):
 		return fmt.Errorf("fleet: arrival rate must be positive and finite")
+	case !finite(c.HedgeDelayS):
+		return fmt.Errorf("fleet: hedge delay must be finite")
 	case c.Policy == Hedged && c.HedgeDelayS <= 0:
 		return fmt.Errorf("fleet: hedged dispatch needs a positive hedge delay")
 	case c.Policy == Hedged && c.Nodes < 2:
@@ -330,43 +335,45 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fleet: unknown trace level %d", int(c.Trace.Level))
 	case c.Trace.TopK < 0:
 		return fmt.Errorf("fleet: trace top-k must be non-negative")
-	case c.Trace.WindowS < 0:
-		return fmt.Errorf("fleet: trace window must be non-negative")
+	case !(c.Trace.WindowS >= 0) || !finite(c.Trace.WindowS):
+		return fmt.Errorf("fleet: trace window must be finite and non-negative")
 	}
 	if c.Coordination != NoCoordination {
 		switch {
 		case c.RackSize <= 0:
 			return fmt.Errorf("fleet: rack size must be positive")
+		case !finite(c.RackPowerBudgetW):
+			return fmt.Errorf("fleet: rack budget must be finite")
 		case c.RackPowerBudgetW < float64(c.RackSize)*c.Node.NominalPowerW:
 			return fmt.Errorf("fleet: rack budget %.1f W cannot cover %d nodes at %.1f W nominal (permanent deficit)",
 				c.RackPowerBudgetW, c.RackSize, c.Node.NominalPowerW)
-		case c.RackBufferJ < 0:
-			return fmt.Errorf("fleet: rack buffer energy must be non-negative")
+		case !(c.RackBufferJ >= 0) || !finite(c.RackBufferJ):
+			return fmt.Errorf("fleet: rack buffer energy must be finite and non-negative")
 		case c.SprintPermits < 0:
 			return fmt.Errorf("fleet: sprint permits must be non-negative")
-		case c.BreakerRecoveryS <= 0:
-			return fmt.Errorf("fleet: breaker recovery window must be positive")
+		case !(c.BreakerRecoveryS > 0) || !finite(c.BreakerRecoveryS):
+			return fmt.Errorf("fleet: breaker recovery window must be positive and finite")
 		}
 	}
 	rl := c.Reliability
 	switch {
-	case rl.TimeoutS < 0 || math.IsInf(rl.TimeoutS, 0) || math.IsNaN(rl.TimeoutS):
+	case !(rl.TimeoutS >= 0) || !finite(rl.TimeoutS):
 		return fmt.Errorf("fleet: request timeout must be finite and non-negative")
 	case rl.MaxRetries < 0 || rl.MaxRetries > 100:
 		// request.attempt is a uint8 arena field; 100 is far past any
 		// sane retry policy anyway.
 		return fmt.Errorf("fleet: max retries must be in [0, 100]")
-	case rl.RetryBackoffS < 0:
-		return fmt.Errorf("fleet: retry backoff must be non-negative")
-	case rl.RetryBudgetPerS < 0 || math.IsInf(rl.RetryBudgetPerS, 0) || math.IsNaN(rl.RetryBudgetPerS):
+	case !(rl.RetryBackoffS >= 0) || !finite(rl.RetryBackoffS):
+		return fmt.Errorf("fleet: retry backoff must be finite and non-negative")
+	case !(rl.RetryBudgetPerS >= 0) || !finite(rl.RetryBudgetPerS):
 		return fmt.Errorf("fleet: retry budget must be finite and non-negative")
-	case rl.RetryBurst < 0:
-		return fmt.Errorf("fleet: retry burst must be non-negative")
-	case rl.GrayFrac < 0 || rl.GrayFrac > 1 || math.IsNaN(rl.GrayFrac):
+	case !(rl.RetryBurst >= 0) || !finite(rl.RetryBurst):
+		return fmt.Errorf("fleet: retry burst must be finite and non-negative")
+	case !(rl.GrayFrac >= 0 && rl.GrayFrac <= 1):
 		return fmt.Errorf("fleet: gray fraction must be in [0, 1]")
-	case rl.GrayFrac > 0 && rl.GraySlowdownX < 1:
-		return fmt.Errorf("fleet: gray slowdown must be at least 1")
-	case rl.FaultProb < 0 || rl.FaultProb >= 1 || math.IsNaN(rl.FaultProb):
+	case rl.GrayFrac > 0 && (!(rl.GraySlowdownX >= 1) || !finite(rl.GraySlowdownX)):
+		return fmt.Errorf("fleet: gray slowdown must be finite and at least 1")
+	case !(rl.FaultProb >= 0 && rl.FaultProb < 1):
 		return fmt.Errorf("fleet: fault probability must be in [0, 1)")
 	}
 	return c.Node.Validate()
@@ -693,23 +700,19 @@ type sim struct {
 	lastDoneS float64
 
 	// segs are the dispatch-index segments: one tournament tree group per
-	// (shard range × class block) intersection, merged at query time so
-	// any segmentation reproduces the single-tree selection exactly — see
-	// shard.go. segIdx maps a node to its segment. Both are nil under
-	// RoundRobin, which never reads node state, and in refDispatch mode.
+	// node-class block, merged at query time so any segmentation
+	// reproduces the single-tree selection exactly — see shard.go. segIdx
+	// maps a node to its segment. Both are nil under RoundRobin, which
+	// never reads node state, and in refDispatch mode.
 	segs   []dspSeg
 	segIdx []int32
 	useRef bool
 
-	// cuts are the shard boundaries over node indexes ([0 c1 … N],
-	// rack-aligned); nil when the run is sequential. The coupled engine
-	// adds per-shard event heaps (shards, with shardIdx/rackShard routing
-	// pushes); the decoupled engine instead builds per-worker sims over
-	// the cut ranges (see shard.go).
-	cuts      []int
-	shards    []shardLoop
-	shardIdx  []int32
-	rackShard []int32
+	// cuts are the decoupled engine's shard boundaries over node indexes
+	// ([0 c1 … N], rack-aligned); nil when the run takes the single loop.
+	// runParallel builds per-worker sims over the cut ranges (see
+	// shard.go).
+	cuts []int
 
 	// latencies buffers completions for exact quantiles; hist streams
 	// them instead above exactQuantileCutoff (see finish).
@@ -717,24 +720,24 @@ type sim struct {
 	hist      *series.Histogram
 	m         Metrics
 
-	// rec is the flight recorder, nil unless this run came through a
-	// traced entry point; every hook in the engine is a nil check on it
-	// and the recorder only ever reads simulation state (see trace.go).
-	// A non-nil recorder forces the serialized engines (parallelOK), so
-	// the record stream replays the exact global event order.
+	// rec is the flight recorder, nil unless Config.Trace.Level is on;
+	// every hook in the engine is a nil check on it and the recorder only
+	// ever reads simulation state (see trace.go). A non-nil recorder makes
+	// the run coupled (parallelOK), so the record stream follows the
+	// single loop's global event order.
 	rec *recorder
 
 	// rel is the reliability layer's live state (see reliability.go), nil
 	// unless Config.Reliability arms a trigger — the same zero-cost-when-
 	// off contract as rec: every hook is a nil check, and a non-nil rel
-	// forces the serialized engines so its seeded draws replay in the
-	// exact global event order at any worker count.
+	// makes the run coupled so its seeded draws follow the single loop's
+	// global event order at any worker count.
 	rel *relState
 
 	// wl is the multi-tenant workload state (see workload.go), nil unless
 	// a workload or labeled replay armed it — the same zero-cost-when-off
 	// contract as rec and rel: every hook is a nil check, and a non-nil wl
-	// forces the serialized engines because admission buckets and dequeue
+	// makes the run coupled because admission buckets and dequeue
 	// disciplines are fleet-global state consumed in event order.
 	wl *workloadRun
 }
@@ -766,14 +769,12 @@ func baseClass(cfg Config) nodeClass {
 // cl returns the node's class constants.
 func (s *sim) cl(n *node) *nodeClass { return &s.classes[n.class] }
 
-// newSim assembles the simulation state shared by Simulate and
-// SimulateScenario; cfg must already be defaulted and validated, and
-// cfg.Requests must be the final trace length (quantile-mode selection
-// reads it). A non-nil scen supplies the classes and per-node assignment;
-// a non-nil rec attaches the flight recorder; a non-nil wl attaches the
-// multi-tenant workload state (both must be set before initShards runs,
-// which reads them through parallelOK).
-func newSim(cfg Config, scen *scenarioRun, rec *recorder, wl *workloadRun) *sim {
+// newSim assembles the simulation state for a resolved arrival source
+// (see Spec.resolve); a non-nil rec attaches the flight recorder. The
+// scenario, workload, and recorder state must all exist before
+// initShards runs, which reads them through parallelOK.
+func newSim(src source, rec *recorder) *sim {
+	cfg, scen := src.cfg, src.scen
 	s := &sim{
 		cfg:        cfg,
 		rate:       cfg.EffectiveRatePerS(),
@@ -781,7 +782,8 @@ func newSim(cfg Config, scen *scenarioRun, rec *recorder, wl *workloadRun) *sim 
 		useRef:     refDispatch,
 		scen:       scen,
 		rec:        rec,
-		wl:         wl,
+		wl:         src.wl,
+		reqs:       src.reqs,
 	}
 	s.m.Policy = cfg.Policy
 	s.m.Requests = cfg.Requests
@@ -842,13 +844,9 @@ func newSim(cfg Config, scen *scenarioRun, rec *recorder, wl *workloadRun) *sim 
 		// global order, so draws replay identically at any worker count.
 		s.rackRng = rand.New(rand.NewSource(cfg.Seed ^ 0x5deece66d))
 	}
-	// Shard layout and dispatch-index segments (see shard.go): the shard
-	// cuts partition the fleet rack-aligned, segments intersect them with
-	// the class blocks (sprint-aware idle keys are only comparable within
-	// one class, so a heterogeneous fleet gets one tree group per class
-	// and keeps O(log N) — the old whole-fleet reference fallback is
-	// gone). A sequential homogeneous run builds exactly one segment,
-	// today's single tree.
+	// Dispatch-index segments, one per class block (sprint-aware idle keys
+	// are only comparable within one class), and the decoupled engine's
+	// shard layout; see shard.go.
 	s.initShards()
 	if rec != nil {
 		rec.begin(s)
@@ -862,45 +860,114 @@ func newSim(cfg Config, scen *scenarioRun, rec *recorder, wl *workloadRun) *sim 
 			}
 		}
 	}
+	if scen != nil {
+		s.scheduleScenario()
+	}
 	return s
 }
 
-// Simulate runs the fleet under the configuration and returns its metrics.
-// The simulation is deterministic: the same Config always yields the same
-// Metrics. The context is checked periodically so very large traces can be
-// cancelled.
-func Simulate(ctx context.Context, cfg Config) (Metrics, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return Metrics{}, err
-	}
-	return simulate(ctx, cfg, nil)
+// Spec is one fleet run: the Config plus the source its arrivals come
+// from. The zero source is the synthetic open-loop trace, Config.Requests
+// arrivals from the session burst generator at the configured rate.
+// Scenario and Replay select the other timelines and exclude each other;
+// Workload swaps a timeline's single population for declared tenants.
+// Recording is on when Config.Trace.Level is not off.
+type Spec struct {
+	Config Config
+	// Scenario plays the run through its phases, ambient shifts, node
+	// classes, and churn. It supersedes Config.Requests and
+	// ArrivalRatePerS, and Config.Nodes when classes are declared.
+	Scenario *Scenario
+	// Workload draws the arrivals from its tenant populations: over the
+	// Scenario's timeline when one is set, else over a flat timeline of
+	// Workload.DurationS seconds. With Replay it may declare classes only,
+	// the SLO classes the trace labels resolve against.
+	Workload *WorkloadSpec
+	// Replay, when non-nil, drives the arrival arena verbatim from
+	// recorded rows (see ValidateRequestTrace). It supersedes
+	// Config.Requests and ArrivalRatePerS.
+	Replay []TraceRequest
 }
 
-// simulate is the body shared by Simulate and SimulateTraced; cfg is
-// already defaulted and validated.
-func simulate(ctx context.Context, cfg Config, rec *recorder) (Metrics, error) {
-	s := newSim(cfg, nil, rec, nil)
+// source is a Spec resolved for newSim: the defaulted, validated Config
+// (Requests is the arena length), the filled request arena, and the
+// scenario and workload state the source arms.
+type source struct {
+	cfg  Config
+	reqs []request
+	scen *scenarioRun
+	wl   *workloadRun
+}
 
+// Run simulates the Spec and returns its metrics, plus the flight
+// recording when Config.Trace.Level is on (nil otherwise). The run is
+// deterministic: the same Spec always yields the same Metrics and the
+// same recording bytes, at any Config.Workers value. The context is
+// checked periodically so very large traces can be cancelled.
+func Run(ctx context.Context, spec Spec) (Metrics, *trace.Trace, error) {
+	src, err := spec.resolve()
+	var (
+		m   Metrics
+		rec *recorder
+	)
+	if err == nil {
+		if src.cfg.Trace.Level != trace.LevelOff {
+			rec = newRecorder(src.cfg)
+		}
+		m, err = newSim(src, rec).start(ctx)
+	}
+	// The arena is pooled whatever happened; Metrics never reference it.
+	putArena(src.reqs)
+	if err != nil {
+		return Metrics{}, nil, err
+	}
+	if rec == nil {
+		return m, nil, nil
+	}
+	return m, rec.tr, nil
+}
+
+// resolve turns the Spec's arrival source into a filled arena. On error
+// the returned reqs may still hold a pooled arena for Run to return.
+func (spec Spec) resolve() (source, error) {
+	switch {
+	case spec.Replay != nil:
+		if spec.Scenario != nil {
+			return source{}, fmt.Errorf("fleet: a replay takes its timeline from the trace; it cannot also play a scenario")
+		}
+		return replaySource(spec.Config, spec.Replay, spec.Workload)
+	case spec.Scenario != nil:
+		return scenarioSource(spec.Config, *spec.Scenario, spec.Workload)
+	case spec.Workload != nil:
+		w := spec.Workload
+		if !(w.DurationS > 0) {
+			return source{}, fmt.Errorf("fleet: workload needs a positive duration")
+		}
+		sc := Scenario{Phases: []Phase{{Name: "workload", DurationS: w.DurationS}}, MaxRequests: w.MaxRequests}
+		return scenarioSource(spec.Config, sc, w)
+	}
+	cfg := spec.Config.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		return source{}, err
+	}
 	// Open-loop arrival trace: the session burst generator at the fleet's
 	// aggregate rate (mean gap = 1/rate). The trace is time-sorted with
 	// strictly increasing arrivals, so it is consumed through a cursor
 	// rather than heaped; on an exact tie with a scheduled event the
 	// arrival fires first, matching the historical seq ordering in which
 	// every arrival was pushed before any dynamic event.
-	bursts := session.GenerateBursts(cfg.Requests, 1/s.rate, cfg.MeanWorkS, cfg.Seed)
-	s.reqs = getArena(len(bursts))
+	bursts := session.GenerateBursts(cfg.Requests, 1/cfg.EffectiveRatePerS(), cfg.MeanWorkS, cfg.Seed)
+	reqs := getArena(len(bursts))
 	for i, b := range bursts {
-		s.reqs[i] = request{arrivalS: b.ArrivalS, workS: b.WorkS, doneS: -1, firstNode: -1}
+		reqs[i] = request{arrivalS: b.ArrivalS, workS: b.WorkS, doneS: -1, firstNode: -1}
 	}
-	m, err := s.start(ctx)
-	putArena(s.reqs)
-	return m, err
+	return source{cfg: cfg, reqs: reqs}, nil
 }
 
 // run drives the merged arrival-cursor / event-heap loop to completion
-// and assembles the metrics — the classic sequential engine (Workers 0
-// or 1); start() picks it or one of the sharded engines in shard.go.
+// and assembles the metrics — the classic single-loop engine every
+// coupled run takes; start() picks it or the decoupled engine in
+// shard.go.
 func (s *sim) run(ctx context.Context) (Metrics, error) {
 	arrival := 0
 	for steps := 0; ; steps++ {
@@ -933,9 +1000,9 @@ func (s *sim) run(ctx context.Context) (Metrics, error) {
 }
 
 // handle applies one scheduled event; the caller has already set nowS to
-// the event's firing time. It is shared by every engine — sequential,
-// serialized-merge, and the per-worker parallel loops — so the handlers
-// themselves cannot tell which one is driving.
+// the event's firing time. It is shared by both engines — the single
+// loop and the per-worker parallel loops — so the handlers themselves
+// cannot tell which one is driving.
 //
 //sprint:hotpath
 func (s *sim) handle(ev event) {
@@ -1523,8 +1590,8 @@ func (s *sim) selectNode(workS float64, exclude int) *node {
 // in O(log N) typical time, merging the per-segment tree groups under
 // the total candidate order (score, rotation distance) — which is
 // exactly the linear scan's first-strict-minimum rotating tie-break, so
-// any segmentation (one tree, per-class trees, per-shard-per-class
-// trees) selects the same node.
+// any segmentation (one tree, or one per class block) selects the same
+// node.
 //
 // Within each segment the idle side is resolved first: firstLE names
 // the first node in local rotation order whose projected budget covers

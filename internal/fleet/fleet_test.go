@@ -22,7 +22,7 @@ func highLoad(p Policy) Config {
 
 func mustSimulate(t *testing.T, cfg Config) Metrics {
 	t.Helper()
-	m, err := Simulate(context.Background(), cfg)
+	m, _, err := Run(context.Background(), Spec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,9 +196,26 @@ func TestValidate(t *testing.T) {
 		func() Config { c := DefaultConfig(RoundRobin); c.QueueCap = -1; return c }(),
 		func() Config { c := DefaultConfig(RoundRobin); c.Policy = Policy(99); return c }(),
 		func() Config { c := DefaultConfig(RoundRobin); c.Node.SprintPowerW = -5; return c }(),
+		// Non-finite floats, each reachable from the CLI (flag.Float64
+		// parses NaN and Inf): NaN work with an explicit rate used to
+		// report p99 = mean = 0, and +Inf work a p99 of +Inf.
+		func() Config {
+			c := DefaultConfig(RoundRobin)
+			c.ArrivalRatePerS = 4
+			c.MeanWorkS = math.NaN()
+			return c
+		}(),
+		func() Config {
+			c := DefaultConfig(RoundRobin)
+			c.ArrivalRatePerS = 4
+			c.MeanWorkS = math.Inf(1)
+			return c
+		}(),
+		// A NaN hedge delay used to report a mean latency of −0.92 s.
+		func() Config { c := DefaultConfig(Hedged); c.HedgeDelayS = math.NaN(); return c }(),
 	}
 	for i, cfg := range bad {
-		if _, err := Simulate(context.Background(), cfg.withDefaults()); err == nil {
+		if _, _, err := Run(context.Background(), Spec{Config: cfg.withDefaults()}); err == nil {
 			t.Errorf("config %d should fail validation", i)
 		}
 	}
@@ -214,7 +231,7 @@ func TestCancellation(t *testing.T) {
 	cancel()
 	cfg := DefaultConfig(RoundRobin)
 	cfg.Requests = 20000
-	if _, err := Simulate(ctx, cfg); err == nil {
+	if _, _, err := Run(ctx, Spec{Config: cfg}); err == nil {
 		t.Error("cancelled context should abort a large simulation")
 	}
 }

@@ -171,6 +171,10 @@ func TestRackValidate(t *testing.T) {
 		func(c *Config) { c.RackBufferJ = -1 },
 		func(c *Config) { c.SprintPermits = -1 },
 		func(c *Config) { c.BreakerRecoveryS = -1 },
+		// A NaN budget used to loop forever; a NaN buffer tripped 158
+		// breakers where the finite default trips none.
+		func(c *Config) { c.RackPowerBudgetW = math.NaN() },
+		func(c *Config) { c.RackBufferJ = math.NaN() },
 	}
 	for i, mutate := range bad {
 		cfg := rackContrast(TokenPermit).withDefaults()

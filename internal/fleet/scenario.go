@@ -25,7 +25,6 @@
 package fleet
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -574,79 +573,66 @@ func (sc Scenario) generate(cfg Config, baseRate float64) (reqs []request, offer
 	}
 }
 
-// SimulateScenario runs the fleet through the scenario and returns its
-// metrics, including the per-phase breakdown in Metrics.Phases. The base
-// Config supplies the fleet (Config.Requests and ArrivalRatePerS are
-// superseded by the scenario's phases; Config.Nodes is derived from the
-// class counts when classes are declared). Like Simulate, the result is a
-// pure function of (cfg, sc) — byte-identical at any worker count.
-func SimulateScenario(ctx context.Context, cfg Config, sc Scenario) (Metrics, error) {
-	return simulateScenario(ctx, cfg, sc, nil, nil)
-}
-
-// simulateScenario is the body shared by SimulateScenario,
-// SimulateScenarioTraced, and the workload entry points; a non-nil rec
-// attaches the flight recorder, a non-nil wspec replaces the synthesized
-// single-population arrivals with the workload's merged tenant streams
-// (each still modulated by the scenario's phase factors).
-func simulateScenario(ctx context.Context, cfg Config, sc Scenario, rec *recorder, wspec *WorkloadSpec) (Metrics, error) {
+// scenarioSource resolves a scenario run's arrivals: the synthesized
+// single population, or with a non-nil wspec the workload's merged tenant
+// streams, each modulated by the scenario's phase factors. The base
+// Config supplies the fleet; Config.Requests and ArrivalRatePerS are
+// superseded by the phases, and Config.Nodes by the class counts when
+// classes are declared.
+func scenarioSource(cfg Config, sc Scenario, wspec *WorkloadSpec) (source, error) {
 	sc = sc.withDefaults()
 	if n := sc.Nodes(); n > 0 {
 		cfg.Nodes = n
 	}
 	cfg = cfg.withDefaults()
 	if err := sc.Validate(cfg); err != nil {
-		return Metrics{}, err
+		return source{}, err
 	}
 	var w WorkloadSpec
 	if wspec != nil {
 		w = wspec.withDefaults()
 		if err := w.Validate(); err != nil {
-			return Metrics{}, err
+			return source{}, err
 		}
 		if len(w.Tenants) == 0 {
-			return Metrics{}, fmt.Errorf("fleet: workload needs at least one tenant")
+			return source{}, fmt.Errorf("fleet: workload needs at least one tenant")
 		}
 	}
 	var (
-		reqs      []request
+		src       source
 		offered   []int
 		truncated bool
 	)
-	baseRate := sc.BaseRatePerS
 	if wspec != nil {
 		maxReqs := sc.MaxRequests
 		if w.MaxRequests > 0 {
 			maxReqs = w.MaxRequests
 		}
-		reqs, offered, truncated = w.generate(cfg, sc, maxReqs)
+		src.reqs, offered, truncated = w.generate(cfg, sc, maxReqs)
 		if truncated {
-			putArena(reqs)
-			return Metrics{}, fmt.Errorf("fleet: workload exceeds its %d-request cap before the timeline ends; raise MaxRequests or lower tenant rates", maxReqs)
+			return src, fmt.Errorf("fleet: workload exceeds its %d-request cap before the timeline ends; raise MaxRequests or lower tenant rates", maxReqs)
 		}
-		if len(reqs) == 0 {
-			putArena(reqs)
-			return Metrics{}, fmt.Errorf("fleet: workload generated no arrivals (tenant rates too low for the timeline)")
+		if len(src.reqs) == 0 {
+			return src, fmt.Errorf("fleet: workload generated no arrivals (tenant rates too low for the timeline)")
 		}
 	} else {
+		baseRate := sc.BaseRatePerS
 		if baseRate <= 0 {
 			baseRate = cfg.EffectiveRatePerS()
 		}
-		reqs, offered, truncated = sc.generate(cfg, baseRate)
+		src.reqs, offered, truncated = sc.generate(cfg, baseRate)
 		if truncated {
-			putArena(reqs)
-			return Metrics{}, fmt.Errorf("fleet: scenario exceeds its %d-request cap before the timeline ends (base rate %.3g req/s); raise MaxRequests or lower the rate", sc.MaxRequests, baseRate)
+			return src, fmt.Errorf("fleet: scenario exceeds its %d-request cap before the timeline ends (base rate %.3g req/s); raise MaxRequests or lower the rate", sc.MaxRequests, baseRate)
 		}
-		if len(reqs) == 0 {
-			putArena(reqs)
-			return Metrics{}, fmt.Errorf("fleet: scenario generated no arrivals (rate %.3g req/s too low for its duration)", baseRate)
+		if len(src.reqs) == 0 {
+			return src, fmt.Errorf("fleet: scenario generated no arrivals (rate %.3g req/s too low for its duration)", baseRate)
 		}
 	}
-	cfg.Requests = len(reqs)
+	cfg.Requests = len(src.reqs)
 	if err := cfg.Validate(); err != nil {
-		putArena(reqs)
-		return Metrics{}, err
+		return src, err
 	}
+	src.cfg = cfg
 
 	run := &scenarioRun{spec: sc, cur: 0, ambientC: sc.Phases[0].AmbientDeltaC}
 	run.classes, run.classIdx = buildClasses(cfg, sc)
@@ -661,35 +647,35 @@ func simulateScenario(ctx context.Context, cfg Config, sc Scenario, rec *recorde
 	for _, p := range sc.Phases {
 		run.endS += p.DurationS
 	}
-	var wl *workloadRun
+	src.scen = run
 	if wspec != nil {
-		wl = newWorkloadRun(w, streaming)
+		src.wl = newWorkloadRun(w, streaming)
 	}
-	s := newSim(cfg, run, rec, wl)
-	s.reqs = reqs
+	return src, nil
+}
 
-	// Phase boundaries are scheduled up front; churn chains one failure
-	// event at a time from its dedicated stream.
+// scheduleScenario seeds the event list: phase boundaries up front, and
+// the first event of each churn chain, which then schedules its
+// successors one failure at a time from its dedicated stream.
+func (s *sim) scheduleScenario() {
+	run, sc := s.scen, &s.scen.spec
 	start := 0.0
 	for i := 0; i < len(sc.Phases)-1; i++ {
 		start += sc.Phases[i].DurationS
 		s.push(event{atS: start, kind: evPhase, req: int32(i + 1)})
 	}
 	if sc.Churn.MTBFS > 0 {
-		run.churnRng = rand.New(rand.NewSource(cfg.Seed ^ churnSeed))
+		run.churnRng = rand.New(rand.NewSource(s.cfg.Seed ^ churnSeed))
 		if at := run.churnRng.ExpFloat64() * sc.Churn.MTBFS; at <= run.endS {
 			s.push(event{atS: at, kind: evNodeFail})
 		}
 	}
 	if sc.Churn.RackMTBFS > 0 {
-		run.rackChurnRng = rand.New(rand.NewSource(cfg.Seed ^ rackChurnSeed))
+		run.rackChurnRng = rand.New(rand.NewSource(s.cfg.Seed ^ rackChurnSeed))
 		if at := run.rackChurnRng.ExpFloat64() * sc.Churn.RackMTBFS; at <= run.endS {
 			s.push(event{atS: at, kind: evRackFail})
 		}
 	}
-	m, err := s.start(ctx)
-	putArena(s.reqs)
-	return m, err
 }
 
 // phaseStart enters phase i: the accounting cursor advances and, when the

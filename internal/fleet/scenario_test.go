@@ -29,7 +29,7 @@ func flashCrowdChurn() (Config, Scenario) {
 
 func mustScenario(t *testing.T, cfg Config, sc Scenario) Metrics {
 	t.Helper()
-	m, err := SimulateScenario(context.Background(), cfg, sc)
+	m, _, err := Run(context.Background(), Spec{Config: cfg, Scenario: &sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestScenarioValidate(t *testing.T) {
 		{Phases: []Phase{{DurationS: 1}}, MaxRequests: -5},
 	}
 	for i, sc := range bad {
-		if _, err := SimulateScenario(context.Background(), cfg, sc); err == nil {
+		if _, _, err := Run(context.Background(), Spec{Config: cfg, Scenario: &sc}); err == nil {
 			t.Errorf("scenario %d should fail validation", i)
 		}
 	}
@@ -398,7 +398,7 @@ func TestScenarioQuantileModeSwitch(t *testing.T) {
 func TestScenarioRequestCapIsLoud(t *testing.T) {
 	cfg, sc := flashCrowdChurn()
 	sc.MaxRequests = 100 // the 160 s timeline offers ~1400 arrivals
-	if _, err := SimulateScenario(context.Background(), cfg, sc); err == nil {
+	if _, _, err := Run(context.Background(), Spec{Config: cfg, Scenario: &sc}); err == nil {
 		t.Fatal("a capped-out scenario should fail loudly")
 	}
 }

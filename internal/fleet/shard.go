@@ -1,52 +1,37 @@
-// Sharded execution: one fleet simulation split across W per-worker
-// event loops, with racks as the shard boundary so every rack power
-// domain is owned by exactly one worker. The contract is absolute:
-// Metrics are byte-identical at every worker count, and Workers ≤ 1
-// reproduces the classic single-loop engine exactly.
+// Sharded execution: one decoupled fleet simulation split across W
+// concurrent per-worker event loops, with racks as the shard boundary
+// so every rack power domain is owned by exactly one worker. The
+// contract is absolute: Metrics are byte-identical at every worker
+// count, and Workers ≤ 1 runs the classic single loop.
 //
-// Two engines implement the contract, chosen by how much the
-// configuration couples the shards:
+// Only decoupled configurations shard (parallelOK). Plain round-robin
+// dispatch is a static assignment — arrival i goes to node i mod N,
+// because the rotation counter advances exactly once per arrival and
+// never reads node state — so with rack admission also shard-local
+// (anything but the Probabilistic policy's global random stream) the
+// shards share no state at all. Each worker runs the ordinary merged
+// arrival-cursor/event-heap loop over its node range on its own
+// goroutine, with a strided cursor selecting the arrivals it owns, and
+// the parent merges the results: integer counters add, SimS is the max
+// completion instant, latencies reduce through series.Histogram.Merge
+// (or buffer concatenation — finish sorts), and every remaining float
+// is already reduced in canonical arena/node/rack order by finish().
+// This is the engine the ≥3× speedup gate measures.
 //
-//   - Decoupled (runParallel): plain round-robin dispatch is a static
-//     assignment — arrival i goes to node i mod N, because the rotation
-//     counter advances exactly once per arrival and never reads node
-//     state — so with rack admission also shard-local (anything but the
-//     Probabilistic policy's global random stream) the shards share no
-//     state at all. Each worker runs the ordinary merged
-//     arrival-cursor/event-heap loop over its node range on its own
-//     goroutine, with a strided cursor selecting the arrivals it owns,
-//     and the parent merges the results: integer counters add, SimS is
-//     the max completion instant, latencies reduce through
-//     series.Histogram.Merge (or buffer concatenation — finish sorts),
-//     and every remaining float is already reduced in canonical arena/
-//     node/rack order by finish(). This is the engine the ≥3× speedup
-//     gate measures; it is real parallelism.
+// Every coupled configuration — least-loaded, sprint-aware, and hedged
+// dispatch (a fleet-wide argmin per arrival), Probabilistic admission,
+// scenarios, the flight recorder, the reliability layer, and workloads
+// (global seeded streams and fleet-wide state consumed in event order)
+// — runs the single loop at any Workers value: the outcome at time t
+// depends on every node's state at time t, so the dependency chain
+// between consecutive dispatches is the simulation's critical path.
 //
-//   - Coupled (runSharded): least-loaded, sprint-aware, and hedged
-//     dispatch take a fleet-wide argmin on every arrival, and scenario
-//     churn and Probabilistic admission consume global seeded streams —
-//     the outcome at time t depends on every shard's state at time t,
-//     so concurrent shard execution cannot preserve byte-identity (the
-//     dependency chain between consecutive dispatches is the
-//     simulation's critical path). Instead the shard structure is kept
-//     — per-shard event heaps fed by ownership-routed pushes (see
-//     push in events.go), per-shard dispatch-index segments merged at
-//     query time — and a driver replays the exact global order: each
-//     step pops the earliest of the shard heap tops, the fleet-global
-//     heap, and the arrival cursor, using the still-global sequence
-//     counter as the tie-break. The merge is a K-way heap-top
-//     comparison, so it is order-independent by construction: the
-//     minimum of per-shard minima is the global minimum, whatever the
-//     shard count. Epochs degenerate to single events; determinism is
-//     the point, not speedup.
-//
-// The dispatch index is likewise segmented (dspSeg): one tournament
-// tree group per contiguous (shard range × class block) intersection,
-// with queries merged under the total candidate order the linear scan
-// defines. The same mechanism restores O(log N) sprint-aware dispatch
-// to heterogeneous NodeClasses fleets (previously a whole-fleet linear
-// rescan per arrival): class blocks are contiguous by construction, so
-// a per-class segment is just a shard of width one class.
+// The dispatch index is segmented (dspSeg): one tournament tree group
+// per contiguous node-class block, with queries merged under the total
+// candidate order the linear scan defines. This keeps sprint-aware
+// dispatch O(log N) on heterogeneous NodeClasses fleets, whose idle keys
+// are only comparable within one class; a homogeneous fleet builds one
+// segment, the classic single tree.
 package fleet
 
 import (
@@ -69,12 +54,6 @@ type dspSeg struct {
 	idx     *dispatchIndex
 	busyIdx *dispatchIndex
 	idleIdx *dispatchIndex
-}
-
-// shardLoop is one shard's state under the serialized-merge engine:
-// its event heap. The driver owns time and the global sequence counter.
-type shardLoop struct {
-	events eventQueue
 }
 
 // arenaPool recycles request arenas across runs and sweep points: the
@@ -101,17 +80,22 @@ func putArena(reqs []request) {
 	arenaPool.Put(&reqs)
 }
 
-// initShards computes the shard layout and builds the dispatch-index
-// segments; newSim calls it once the nodes, classes, and racks exist.
+// initShards builds the dispatch-index segments and, for a decoupled
+// run with Workers > 1, the shard layout; newSim calls it once the
+// nodes, classes, racks, and optional layers exist.
 //
 // Shards are contiguous rack-aligned node ranges (rack size 1 when
 // power domains are off), distributed as evenly as whole racks allow;
 // Workers is clamped to the rack-group count so no shard is empty.
-// The coupled engine additionally gets its per-shard heaps and the
-// node/rack → shard routing tables; the decoupled engine builds its
-// per-worker loops at run time from the same cuts.
+// runParallel builds its per-worker loops from the cuts at run time.
 func (s *sim) initShards() {
 	cfg := s.cfg
+	if !s.useRef && cfg.Policy != RoundRobin {
+		s.buildSegs()
+	}
+	if cfg.Workers <= 1 || !s.parallelOK() {
+		return
+	}
 	rackSz := 1
 	if cfg.Coordination != NoCoordination {
 		rackSz = cfg.RackSize
@@ -121,56 +105,36 @@ func (s *sim) initShards() {
 	if w > nRacks {
 		w = nRacks
 	}
-	if w > 1 {
-		s.cuts = make([]int, w+1)
-		for k := 0; k <= w; k++ {
-			n := (k * nRacks / w) * rackSz
-			if n > cfg.Nodes {
-				n = cfg.Nodes
-			}
-			s.cuts[k] = n
-		}
+	if w <= 1 {
+		return
 	}
-	if !s.useRef && cfg.Policy != RoundRobin {
-		s.buildSegs()
-	}
-	if w > 1 && !s.parallelOK() {
-		s.shards = make([]shardLoop, w)
-		s.shardIdx = make([]int32, cfg.Nodes)
-		for k := 0; k < w; k++ {
-			for i := s.cuts[k]; i < s.cuts[k+1]; i++ {
-				s.shardIdx[i] = int32(k)
-			}
+	s.cuts = make([]int, w+1)
+	for k := 0; k <= w; k++ {
+		n := (k * nRacks / w) * rackSz
+		if n > cfg.Nodes {
+			n = cfg.Nodes
 		}
-		if len(s.racks) > 0 {
-			s.rackShard = make([]int32, len(s.racks))
-			for r := range s.racks {
-				s.rackShard[r] = s.shardIdx[r*cfg.RackSize]
-			}
-		}
+		s.cuts[k] = n
 	}
 }
 
 // parallelOK reports whether the shards are fully decoupled, making the
 // concurrent engine exact: a plain (non-scenario) run under state-blind
 // round-robin dispatch, without the Probabilistic admission policy's
-// fleet-global random stream. Everything else routes through the
-// serialized-merge engine — including any traced run, because the flight
-// recorder appends one global record stream in event order and must
-// produce identical bytes at every worker count, and any run with the
-// reliability layer armed, whose retry budget and seeded fault/jitter
-// draws are likewise fleet-global state consumed in event order, and any
-// workload run, whose per-class admission buckets and dequeue
-// disciplines are fleet-global too.
+// fleet-global random stream. Everything else runs the single loop —
+// including any traced run, because the flight recorder appends one
+// global record stream in event order, and any run with the reliability
+// layer armed, whose retry budget and seeded fault/jitter draws are
+// fleet-global state consumed in event order, and any workload run,
+// whose per-class admission buckets and dequeue disciplines are
+// fleet-global too.
 func (s *sim) parallelOK() bool {
 	return s.scen == nil && s.cfg.Policy == RoundRobin && s.cfg.Coordination != Probabilistic && s.rec == nil && s.rel == nil && s.wl == nil
 }
 
-// buildSegs lowers the shard cuts × class blocks into dispatch-index
-// segments. Both cut families are contiguous index ranges, so segments
-// are simply the intervals between the union of their boundaries. A
-// sequential homogeneous run yields one segment — the classic single
-// tree, traversed identically.
+// buildSegs lowers the class blocks into dispatch-index segments: one
+// per maximal run of same-class nodes. A homogeneous fleet yields one
+// segment — the classic single tree, traversed identically.
 func (s *sim) buildSegs() {
 	nn := len(s.nodes)
 	bound := make([]bool, nn+1)
@@ -179,9 +143,6 @@ func (s *sim) buildSegs() {
 		if s.nodes[i].class != s.nodes[i-1].class {
 			bound[i] = true
 		}
-	}
-	for _, c := range s.cuts {
-		bound[c] = true
 	}
 	s.segIdx = make([]int32, nn)
 	lo := 0
@@ -244,71 +205,14 @@ func (s *sim) segArgmin(rot int) int {
 	return -1
 }
 
-// start runs the engine the configuration selected: the serialized
-// merge when coupled shards exist, the concurrent per-worker loops when
-// the shards are decoupled, and the classic loop otherwise.
+// start runs the engine the configuration selected: the concurrent
+// per-worker loops when the shards are decoupled, the classic loop
+// otherwise.
 func (s *sim) start(ctx context.Context) (Metrics, error) {
-	switch {
-	case s.shards != nil:
-		return s.runSharded(ctx)
-	case s.cuts != nil:
+	if s.cuts != nil {
 		return s.runParallel(ctx)
-	default:
-		return s.run(ctx)
 	}
-}
-
-// runSharded is the coupled engine's driver: per-shard event heaps,
-// merged one event at a time. Each step compares the arrival cursor,
-// the fleet-global heap, and every shard heap's top and fires the
-// earliest by (time, global sequence) — the same total order the single
-// heap pops, so handlers, random draws, and accounting replay in the
-// exact sequential order at any worker count.
-func (s *sim) runSharded(ctx context.Context) (Metrics, error) {
-	arrival := 0
-	for steps := 0; ; steps++ {
-		if steps&1023 == 1023 {
-			if err := ctx.Err(); err != nil {
-				return Metrics{}, err
-			}
-		}
-		src := -2 // -2 none, -1 global heap, k ≥ 0 shard k
-		var top event
-		if s.events.len() > 0 {
-			src, top = -1, s.events.top()
-		}
-		for k := range s.shards {
-			if q := &s.shards[k].events; q.len() > 0 {
-				if src == -2 || eventBefore(q.top(), top) {
-					src, top = k, q.top()
-				}
-			}
-		}
-		if arrival < len(s.reqs) && (src == -2 || s.reqs[arrival].arrivalS <= top.atS) {
-			s.nowS = s.reqs[arrival].arrivalS
-			if s.rec != nil {
-				s.rec.tick(s)
-			}
-			s.dispatch(int32(arrival))
-			arrival++
-			continue
-		}
-		if src == -2 {
-			break
-		}
-		var ev event
-		if src == -1 {
-			ev = s.events.pop()
-		} else {
-			ev = s.shards[src].events.pop()
-		}
-		s.nowS = ev.atS
-		if s.rec != nil {
-			s.rec.tick(s)
-		}
-		s.handle(ev)
-	}
-	return s.finish(), nil
+	return s.run(ctx)
 }
 
 // runParallel is the decoupled engine: one goroutine per shard, each a

@@ -18,9 +18,9 @@ var workerCounts = []int{1, 2, 4, 7}
 // policy × rack coordination × worker count × seed, at a healthy and an
 // overloaded shape, must produce Metrics byte-identical to the
 // sequential (Workers 0) run — reflect.DeepEqual over the full struct,
-// floats included. This subsumes both engines: coupled configurations
-// exercise the serialized K-way merge, and round-robin without the
-// probabilistic draw exercises the concurrent decoupled workers.
+// floats included. Round-robin without the probabilistic draw exercises
+// the concurrent decoupled workers; every coupled configuration pins
+// that Workers is a no-op for it.
 func TestShardedMatchesSequential(t *testing.T) {
 	shapes := []struct {
 		name     string
@@ -61,8 +61,8 @@ func TestShardedMatchesSequential(t *testing.T) {
 
 // TestShardedScenarioMatchesSequential extends the contract to the
 // dynamic engine: flash-crowd phases with failure churn (global event
-// streams that must interleave with shard-owned completions in exact
-// sequential order), across every policy and a coordinated variant.
+// streams that must interleave with completions in exact sequential
+// order), across every policy and a coordinated variant.
 func TestShardedScenarioMatchesSequential(t *testing.T) {
 	for _, p := range Policies() {
 		for _, c := range []Coordination{NoCoordination, TokenPermit} {
@@ -148,7 +148,7 @@ func TestShardedApproxQuantileMatches(t *testing.T) {
 
 // TestShardedRackConservation is a rapid-style property test: for
 // random configurations, the sharded run's per-rack accounting must sum
-// to the sequential run's fleet totals — per-shard energy and trips are
+// to the sequential run's fleet totals — per-worker energy and trips are
 // conserved under the merge, whatever the shard layout. (DeepEqual over
 // the full Metrics would subsume it, and is asserted too; the explicit
 // sums localize a conservation bug to the rack ledger when one appears.)
@@ -200,21 +200,23 @@ func closeRel(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// TestWorkersValidate covers the new knob's input handling: negative
-// counts are rejected, and absurd counts clamp to the rack-group count
-// rather than spawning empty shards.
+// TestWorkersValidate covers the knob's input handling: negative counts
+// are rejected, absurd counts clamp to the rack-group count rather than
+// spawning empty shards, and a coupled run ignores them.
 func TestWorkersValidate(t *testing.T) {
 	cfg := DefaultConfig(RoundRobin)
 	cfg.Workers = -1
-	if _, err := Simulate(context.Background(), cfg); err == nil {
+	if _, _, err := Run(context.Background(), Spec{Config: cfg}); err == nil {
 		t.Error("negative Workers accepted")
 	}
-	cfg = DefaultConfig(SprintAware)
-	cfg.Nodes = 6
-	cfg.Requests = 500
-	seq := mustSimulate(t, cfg)
-	cfg.Workers = 1000 // clamps to 6 rack groups of one node each
-	if got := mustSimulate(t, cfg); !reflect.DeepEqual(got, seq) {
-		t.Error("over-provisioned worker count diverged from sequential")
+	for _, p := range []Policy{SprintAware, RoundRobin} {
+		cfg = DefaultConfig(p)
+		cfg.Nodes = 6
+		cfg.Requests = 500
+		seq := mustSimulate(t, cfg)
+		cfg.Workers = 1000 // clamps to 6 rack groups of one node each
+		if got := mustSimulate(t, cfg); !reflect.DeepEqual(got, seq) {
+			t.Errorf("%s: over-provisioned worker count diverged from sequential", p)
+		}
 	}
 }

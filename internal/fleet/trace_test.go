@@ -11,9 +11,18 @@ import (
 	"sprinting/internal/trace"
 )
 
+// traced turns the flight recorder on, at decisions level unless cfg
+// already picks a level.
+func traced(cfg Config) Config {
+	if cfg.Trace.Level == trace.LevelOff {
+		cfg.Trace.Level = trace.LevelDecisions
+	}
+	return cfg
+}
+
 func mustTraced(t *testing.T, cfg Config) (Metrics, *trace.Trace) {
 	t.Helper()
-	m, tr, err := SimulateTraced(context.Background(), cfg)
+	m, tr, err := Run(context.Background(), Spec{Config: traced(cfg)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,9 +42,9 @@ func traceBytes(t *testing.T, tr *trace.Trace) []byte {
 // flight recorder: the serialized JSONL trace — every decision, event,
 // and timeline sample, in order — must be byte-identical at every worker
 // count, across the same policy × coordination × shape matrix the
-// Metrics contract test runs. A recorder forces the serialized engines,
-// so this is the proof that the record stream replays the exact global
-// event order whatever the shard layout.
+// Metrics contract test runs. A recorder makes the run coupled, so this
+// pins that Workers is a no-op for traced runs and the record stream
+// keeps the exact global event order.
 func TestTraceShardedMatchesSequential(t *testing.T) {
 	shapes := []struct {
 		name     string
@@ -90,14 +99,14 @@ func TestTraceScenarioShardedMatchesSequential(t *testing.T) {
 			cfg.RackSize = 5
 		}
 		cfg.Trace = TraceConfig{Level: trace.LevelDecisions}
-		seqM, seqTr, err := SimulateScenarioTraced(context.Background(), cfg, sc)
+		seqM, seqTr, err := Run(context.Background(), Spec{Config: traced(cfg), Scenario: &sc})
 		if err != nil {
 			t.Fatal(err)
 		}
 		seqB := traceBytes(t, seqTr)
 		for _, w := range workerCounts {
 			cfg.Workers = w
-			gotM, gotTr, err := SimulateScenarioTraced(context.Background(), cfg, sc)
+			gotM, gotTr, err := Run(context.Background(), Spec{Config: traced(cfg), Scenario: &sc})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -136,25 +145,66 @@ func TestTracedMetricsUnchanged(t *testing.T) {
 	}
 	cfg, sc := flashCrowdChurn()
 	plain := mustScenario(t, cfg, sc)
-	traced, _, err := SimulateScenarioTraced(context.Background(), cfg, sc)
+	got, _, err := Run(context.Background(), Spec{Config: traced(cfg), Scenario: &sc})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plain, traced) {
+	if !reflect.DeepEqual(plain, got) {
 		t.Error("scenario: traced Metrics differ from untraced")
 	}
 }
 
+// TestTraceWorkloadProbesResolve records a hedged workload run under the
+// priority discipline, whose dequeue cancels losing hedge copies from
+// anywhere in the queue: the Metrics must equal the untraced run's, and
+// without churn every counterfactual probe must resolve — each cancelled
+// copy is a departure the probes count.
+func TestTraceWorkloadProbesResolve(t *testing.T) {
+	cfg, w := tenantWorkload()
+	cfg.Policy = Hedged
+	cfg.HedgeDelayS = 0.3
+	plain := mustWorkload(t, cfg, w)
+	got, tr, err := Run(context.Background(), Spec{Config: traced(cfg), Workload: &w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, got) {
+		t.Error("traced workload Metrics differ from untraced")
+	}
+	if got.CancelledCopies == 0 {
+		t.Fatal("contrast config cancelled no copies; the test needs some")
+	}
+	for _, d := range tr.Decisions() {
+		for _, a := range d.Alts {
+			if a.HypoDoneS < 0 {
+				t.Fatalf("decision at %g s: probe on node %d never resolved", d.AtS, a.Node)
+			}
+		}
+	}
+}
+
 // TestTraceIgnoredWithoutTracedEntry pins the API contract the zero-cost
-// guarantee rests on: Config.Trace is inert through the plain entry
-// points — Simulate never builds a recorder, whatever the field says.
+// guarantee rests on: the level is the only switch. At LevelOff the rest
+// of Config.Trace is inert — Run builds no recorder and returns no
+// recording — and at any level the Metrics stay the untraced run's.
 func TestTraceIgnoredWithoutTracedEntry(t *testing.T) {
 	cfg := DefaultConfig(LeastLoaded)
 	cfg.Requests = 400
 	base := mustSimulate(t, cfg)
-	cfg.Trace = TraceConfig{Level: trace.LevelFull, TopK: 8, WindowS: 1}
+	cfg.Trace = TraceConfig{TopK: 8, WindowS: 1}
+	got, tr, err := Run(context.Background(), Spec{Config: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr != nil {
+		t.Error("Run recorded with Config.Trace.Level off")
+	}
+	if !reflect.DeepEqual(got, base) {
+		t.Error("Config.Trace changed an untraced run's result")
+	}
+	cfg.Trace.Level = trace.LevelFull
 	if got := mustSimulate(t, cfg); !reflect.DeepEqual(got, base) {
-		t.Error("Config.Trace changed Simulate's result")
+		t.Error("Config.Trace changed a traced run's Metrics")
 	}
 }
 
@@ -304,7 +354,7 @@ func TestTraceLevels(t *testing.T) {
 func TestTraceScenarioAnnotations(t *testing.T) {
 	cfg, sc := flashCrowdChurn()
 	cfg.Trace = TraceConfig{WindowS: 10}
-	m, tr, err := SimulateScenarioTraced(context.Background(), cfg, sc)
+	m, tr, err := Run(context.Background(), Spec{Config: traced(cfg), Scenario: &sc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,11 +408,11 @@ func TestTraceValidate(t *testing.T) {
 		func() Config { c := DefaultConfig(RoundRobin); c.Trace.WindowS = -2; return c }(),
 	}
 	for i, cfg := range bad {
-		if _, _, err := SimulateTraced(context.Background(), cfg); err == nil {
+		if _, _, err := Run(context.Background(), Spec{Config: traced(cfg)}); err == nil {
 			t.Errorf("bad trace config %d accepted", i)
 		}
-		if _, err := Simulate(context.Background(), cfg); err == nil {
-			t.Errorf("bad trace config %d accepted by plain Simulate", i)
+		if _, _, err := Run(context.Background(), Spec{Config: cfg}); err == nil {
+			t.Errorf("bad trace config %d accepted as given", i)
 		}
 	}
 }

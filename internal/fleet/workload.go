@@ -4,20 +4,20 @@
 // Two new front ends feed the event loop's request arena in place of the
 // single-population synthesized cursor:
 //
-//   - Trace replay (SimulateReplay): a strict-decode JSON-lines or CSV
+//   - Trace replay (Spec.Replay): a strict-decode JSON-lines or CSV
 //     trace of (arrival_s, work_s, width, tenant, class) rows drives the
 //     run verbatim — deterministic what-if replays of recorded demand.
 //     ReplayFromRecording converts a flight-recorder Trace (PR 7) back
 //     into a replayable trace, closing the record→replay loop: replaying
 //     a recording of a plain run reproduces that run's arrivals exactly.
 //
-//   - Workload specs (SimulateWorkload / SimulateScenarioWorkload): N
+//   - Workload specs (Spec.Workload, optionally under Spec.Scenario): N
 //     declared tenant populations, each with its own seeded arrival
 //     process (Poisson/Gamma/Weibull), work distribution (exp, fixed,
 //     lognormal, pareto), request-width distribution, and SLO class.
 //     Tenant streams are independently seeded, merged under a total
-//     (time, tenant) order, and — under SimulateScenarioWorkload —
-//     modulated by the scenario's phase factors.
+//     (time, tenant) order, and — under a scenario — modulated by its
+//     phase factors.
 //
 // The SLO classes bring per-class admission control (a token bucket per
 // class, reusing the reliability layer's bucket), per-class hedge-delay
@@ -29,17 +29,16 @@
 // Metrics.Tenants plus a Jain fairness index over per-tenant
 // completions. The integration contract matches the recorder and
 // reliability layers exactly: sim.wl is nil unless a workload is armed,
-// every hot-path hook is a nil check, and a non-nil wl forces the
-// serialized engines (parallelOK) because admission buckets and dequeue
-// disciplines are fleet-global state consumed in event order — so runs
-// stay byte-identical at any Workers count. Per-class floats follow the
+// every hot-path hook is a nil check, and a non-nil wl runs the single
+// loop (parallelOK) because admission buckets and dequeue disciplines
+// are fleet-global state consumed in event order — so runs stay
+// byte-identical at any Workers count. Per-class floats follow the
 // canonical-order contract: latency means reduce over the request arena
 // in arena order, never in completion order.
 package fleet
 
 import (
 	"bytes"
-	"context"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
@@ -828,6 +827,9 @@ func (s *sim) dequeueDisciplined(n *node) {
 			r.copies--
 			s.m.CancelledCopies++
 			n.queuedNaiveS -= r.workS / s.cl(n).width
+			if s.rec != nil {
+				s.rec.departed(s, n)
+			}
 			continue
 		}
 		n.queue[w] = c
@@ -894,7 +896,7 @@ type TenantMetrics struct {
 // assemble fills the workload outcome into the metrics; finish calls it
 // while the arena is live. Every count and float derives from an arena
 // walk in arena order (plus the two incremental counters admission and
-// retries), so the serialized engines reproduce it bit-identically.
+// retries), so it is bit-identical at any Workers count.
 func (w *workloadRun) assemble(s *sim, m *Metrics) {
 	m.Classes = make([]ClassMetrics, len(w.classes))
 	m.Tenants = make([]TenantMetrics, len(w.tenants))
@@ -985,47 +987,28 @@ func (w *workloadRun) assemble(s *sim, m *Metrics) {
 	}
 }
 
-// SimulateWorkload runs the declared multi-tenant workload over a flat
-// timeline of w.DurationS seconds. Like every entry point, the result is
-// a pure function of (cfg, w) — byte-identical at any Workers count.
-func SimulateWorkload(ctx context.Context, cfg Config, w WorkloadSpec) (Metrics, error) {
-	if !(w.DurationS > 0) {
-		return Metrics{}, fmt.Errorf("fleet: workload needs a positive duration")
-	}
-	sc := Scenario{Phases: []Phase{{Name: "workload", DurationS: w.DurationS}}, MaxRequests: w.MaxRequests}
-	return simulateScenario(ctx, cfg, sc, nil, &w)
-}
-
-// SimulateScenarioWorkload runs the workload's tenant populations
-// through the scenario's timeline: phase factors modulate every tenant's
-// arrival rate, and phases, ambient shifts, churn, and heterogeneous
-// classes all apply as in SimulateScenario.
-func SimulateScenarioWorkload(ctx context.Context, cfg Config, sc Scenario, w WorkloadSpec) (Metrics, error) {
-	return simulateScenario(ctx, cfg, sc, nil, &w)
-}
-
-// SimulateReplay replays a recorded request trace through the fleet: the
-// rows drive the arrival arena verbatim (ValidateRequestTrace order). A
-// non-nil spec declares the SLO classes trace labels resolve against —
-// admission, priorities, and disciplines then apply to the replay — and
-// must declare no tenants (the trace supplies the population). Without a
-// spec, labeled traces get implicit accounting-only classes and tenants
-// from their labels; a fully unlabeled trace replays through the plain
-// engine with no workload state at all, so replaying a recording of a
-// plain run reproduces that run's Metrics exactly.
-func SimulateReplay(ctx context.Context, cfg Config, rows []TraceRequest, spec *WorkloadSpec) (Metrics, error) {
+// replaySource resolves a replay run's arrivals: the rows drive the
+// arena verbatim. A non-nil spec declares the SLO classes trace labels
+// resolve against — admission, priorities, and disciplines then apply to
+// the replay — and must declare no tenants (the trace supplies the
+// population). Without a spec, labeled traces get implicit
+// accounting-only classes and tenants from their labels; a fully
+// unlabeled trace replays through the plain engine with no workload
+// state at all, so replaying a recording of a plain run reproduces that
+// run's Metrics exactly.
+func replaySource(cfg Config, rows []TraceRequest, spec *WorkloadSpec) (source, error) {
 	cfg = cfg.withDefaults()
 	if err := ValidateRequestTrace(rows); err != nil {
-		return Metrics{}, err
+		return source{}, err
 	}
 	var w WorkloadSpec
 	if spec != nil {
 		w = spec.withDefaults()
 		if err := w.Validate(); err != nil {
-			return Metrics{}, err
+			return source{}, err
 		}
 		if len(w.Tenants) > 0 {
-			return Metrics{}, fmt.Errorf("fleet: replay takes its population from the trace; the spec must declare classes only")
+			return source{}, fmt.Errorf("fleet: replay takes its population from the trace; the spec must declare classes only")
 		}
 	}
 	labeled := spec != nil
@@ -1043,19 +1026,16 @@ func SimulateReplay(ctx context.Context, cfg Config, rows []TraceRequest, spec *
 	if labeled {
 		var err error
 		if wl, slos, tenants, err = buildReplayRun(rows, spec, &w); err != nil {
-			return Metrics{}, err
+			return source{}, err
 		}
 	}
 	cfg.Requests = len(rows)
 	if err := cfg.Validate(); err != nil {
-		return Metrics{}, err
+		return source{}, err
 	}
-	if wl != nil {
-		streaming := !cfg.ExactQuantiles && cfg.Requests > exactQuantileCutoff
-		if streaming {
-			for i := range wl.acc {
-				wl.acc[i].hist = series.NewHistogram()
-			}
+	if wl != nil && !cfg.ExactQuantiles && cfg.Requests > exactQuantileCutoff {
+		for i := range wl.acc {
+			wl.acc[i].hist = series.NewHistogram()
 		}
 	}
 	reqs := getArena(len(rows))
@@ -1069,11 +1049,7 @@ func SimulateReplay(ctx context.Context, cfg Config, rows []TraceRequest, spec *
 		}
 		reqs[i] = req
 	}
-	s := newSim(cfg, nil, nil, wl)
-	s.reqs = reqs
-	m, err := s.start(ctx)
-	putArena(reqs)
-	return m, err
+	return source{cfg: cfg, reqs: reqs, wl: wl}, nil
 }
 
 // buildReplayRun resolves the trace's class/tenant labels into a

@@ -370,12 +370,12 @@ func DefaultRackBudgetW(rackSize int, node GovernorConfig) float64 {
 // ExactQuantiles to opt back into exact buffering at any scale.
 // FleetMetrics.ApproxQuantiles reports which mode ran.
 //
-// Workers shards the simulation's event loop across per-worker loops
-// with racks as the shard boundary. The result is byte-identical at
-// every worker count: decoupled configurations (round-robin dispatch
-// without the probabilistic admission draw, outside scenario mode) run
-// the shards concurrently on real goroutines, and coupled ones replay
-// the exact global event order through a deterministic K-way merge.
+// Workers shards a decoupled simulation's event loop across concurrent
+// per-worker loops with racks as the shard boundary. Decoupled means
+// round-robin dispatch without the probabilistic admission draw, outside
+// scenario mode, untraced, with no reliability layer or workload; every
+// other run takes the single loop, so Workers is a no-op for it. The
+// result is byte-identical at every worker count.
 type FleetConfig = fleet.Config
 
 // FleetMetrics is the outcome of a fleet simulation: throughput, latency
@@ -400,8 +400,9 @@ func DefaultFleetConfig(p FleetPolicy) FleetConfig { return fleet.DefaultConfig(
 // class, so heterogeneous fleets keep the bound), the event loop does
 // not allocate per request, and a 10,000-node fleet serves a million
 // requests in single-digit seconds (see BenchmarkFleetScale). Setting
-// FleetConfig.Workers shards the loop itself — byte-identically at any
-// worker count (see BenchmarkFleetScaleDecoupledParallel).
+// FleetConfig.Workers shards a decoupled run's loop itself —
+// byte-identically at any worker count (see
+// BenchmarkFleetScaleDecoupledParallel).
 func SimulateFleet(cfg FleetConfig) (FleetMetrics, error) {
 	return SimulateFleetContext(context.Background(), cfg)
 }
@@ -409,7 +410,24 @@ func SimulateFleet(cfg FleetConfig) (FleetMetrics, error) {
 // SimulateFleetContext is SimulateFleet under a caller context; very large
 // traces can be cancelled mid-simulation.
 func SimulateFleetContext(ctx context.Context, cfg FleetConfig) (FleetMetrics, error) {
-	return fleet.Simulate(ctx, cfg)
+	return runFleet(ctx, fleet.Spec{Config: cfg})
+}
+
+// runFleet runs one Spec untraced: the plain entry points clear the
+// recorder level, so FleetConfig.Trace is inert through them.
+func runFleet(ctx context.Context, spec fleet.Spec) (FleetMetrics, error) {
+	spec.Config.Trace.Level = TraceOff
+	m, _, err := fleet.Run(ctx, spec)
+	return m, err
+}
+
+// runTraced runs one Spec with the flight recorder on. Calling a traced
+// entry point is the opt-in, so TraceOff is promoted to TraceDecisions.
+func runTraced(ctx context.Context, spec fleet.Spec) (FleetMetrics, *FleetTrace, error) {
+	if spec.Config.Trace.Level == TraceOff {
+		spec.Config.Trace.Level = TraceDecisions
+	}
+	return fleet.Run(ctx, spec)
 }
 
 // SimulateFleetSweep evaluates every fleet configuration concurrently on a
@@ -422,10 +440,7 @@ func SimulateFleetSweep(cfgs []FleetConfig, workers int) ([]FleetMetrics, error)
 
 // SimulateFleetSweepContext is SimulateFleetSweep under a caller context.
 func SimulateFleetSweepContext(ctx context.Context, cfgs []FleetConfig, workers int) ([]FleetMetrics, error) {
-	return engine.Map(ctx, cfgs,
-		func(ctx context.Context, cfg FleetConfig) (FleetMetrics, error) {
-			return fleet.Simulate(ctx, cfg)
-		}, engine.Options{Workers: workers})
+	return engine.Map(ctx, cfgs, SimulateFleetContext, engine.Options{Workers: workers})
 }
 
 // FleetScenario is a declarative dynamic-fleet description: load phases
@@ -491,12 +506,7 @@ type ScenarioConfig struct {
 // breakdown (FleetMetrics.Phases) to the usual fleet metrics. Like
 // SimulateFleet, the outcome is a pure function of the configuration.
 func SimulateScenario(sc ScenarioConfig) (FleetMetrics, error) {
-	return SimulateScenarioContext(context.Background(), sc)
-}
-
-// SimulateScenarioContext is SimulateScenario under a caller context.
-func SimulateScenarioContext(ctx context.Context, sc ScenarioConfig) (FleetMetrics, error) {
-	return fleet.SimulateScenario(ctx, sc.Fleet, sc.Scenario)
+	return runFleet(context.Background(), fleet.Spec{Config: sc.Fleet, Scenario: &sc.Scenario})
 }
 
 // SimulateScenarioSweep evaluates every scenario concurrently on a
@@ -512,7 +522,7 @@ func SimulateScenarioSweep(scs []ScenarioConfig, workers int) ([]FleetMetrics, e
 func SimulateScenarioSweepContext(ctx context.Context, scs []ScenarioConfig, workers int) ([]FleetMetrics, error) {
 	return engine.Map(ctx, scs,
 		func(ctx context.Context, sc ScenarioConfig) (FleetMetrics, error) {
-			return fleet.SimulateScenario(ctx, sc.Fleet, sc.Scenario)
+			return runFleet(ctx, fleet.Spec{Config: sc.Fleet, Scenario: &sc.Scenario})
 		}, engine.Options{Workers: workers})
 }
 
@@ -564,7 +574,7 @@ func SimulateFleetTraced(cfg FleetConfig) (FleetMetrics, *FleetTrace, error) {
 // SimulateFleetTracedContext is SimulateFleetTraced under a caller
 // context.
 func SimulateFleetTracedContext(ctx context.Context, cfg FleetConfig) (FleetMetrics, *FleetTrace, error) {
-	return fleet.SimulateTraced(ctx, cfg)
+	return runTraced(ctx, fleet.Spec{Config: cfg})
 }
 
 // SimulateScenarioTraced runs SimulateScenario with the flight recorder
@@ -577,7 +587,7 @@ func SimulateScenarioTraced(sc ScenarioConfig) (FleetMetrics, *FleetTrace, error
 // SimulateScenarioTracedContext is SimulateScenarioTraced under a caller
 // context.
 func SimulateScenarioTracedContext(ctx context.Context, sc ScenarioConfig) (FleetMetrics, *FleetTrace, error) {
-	return fleet.SimulateScenarioTraced(ctx, sc.Fleet, sc.Scenario)
+	return runTraced(ctx, fleet.Spec{Config: sc.Fleet, Scenario: &sc.Scenario})
 }
 
 // FleetWorkload declares a multi-tenant workload over the fleet: SLO
@@ -629,35 +639,27 @@ func SimulateWorkload(cfg FleetConfig, w FleetWorkload) (FleetMetrics, error) {
 
 // SimulateWorkloadContext is SimulateWorkload under a caller context.
 func SimulateWorkloadContext(ctx context.Context, cfg FleetConfig, w FleetWorkload) (FleetMetrics, error) {
-	return fleet.SimulateWorkload(ctx, cfg, w)
+	return runFleet(ctx, fleet.Spec{Config: cfg, Workload: &w})
 }
 
-// SimulateScenarioWorkload runs the workload's tenant populations
-// through a scenario's timeline: phase factors modulate every tenant's
-// arrival rate, while ambient shifts, churn, and heterogeneous classes
-// apply as in SimulateScenario.
-func SimulateScenarioWorkload(sc ScenarioConfig, w FleetWorkload) (FleetMetrics, error) {
-	return SimulateScenarioWorkloadContext(context.Background(), sc, w)
-}
-
-// SimulateScenarioWorkloadContext is SimulateScenarioWorkload under a
-// caller context.
+// SimulateScenarioWorkloadContext runs the workload's tenant populations
+// through a scenario's timeline under a caller context: phase factors
+// modulate every tenant's arrival rate, while ambient shifts, churn, and
+// heterogeneous classes apply as in SimulateScenario.
 func SimulateScenarioWorkloadContext(ctx context.Context, sc ScenarioConfig, w FleetWorkload) (FleetMetrics, error) {
-	return fleet.SimulateScenarioWorkload(ctx, sc.Fleet, sc.Scenario, w)
+	return runFleet(ctx, fleet.Spec{Config: sc.Fleet, Scenario: &sc.Scenario, Workload: &w})
 }
 
-// SimulateReplay replays a recorded request trace through the fleet. A
-// non-nil spec declares the SLO classes trace labels resolve against
-// (admission and disciplines then apply); without one, labeled traces
-// get implicit accounting-only classes and a fully unlabeled trace
-// reproduces the plain engine's Metrics exactly.
-func SimulateReplay(cfg FleetConfig, rows []TraceRequest, spec *FleetWorkload) (FleetMetrics, error) {
-	return SimulateReplayContext(context.Background(), cfg, rows, spec)
-}
-
-// SimulateReplayContext is SimulateReplay under a caller context.
+// SimulateReplayContext replays a recorded request trace through the
+// fleet under a caller context. A non-nil spec declares the SLO classes
+// trace labels resolve against (admission and disciplines then apply);
+// without one, labeled traces get implicit accounting-only classes and a
+// fully unlabeled trace reproduces the plain engine's Metrics exactly.
 func SimulateReplayContext(ctx context.Context, cfg FleetConfig, rows []TraceRequest, spec *FleetWorkload) (FleetMetrics, error) {
-	return fleet.SimulateReplay(ctx, cfg, rows, spec)
+	if rows == nil {
+		rows = []TraceRequest{} // a nil Spec.Replay would select the synthetic source
+	}
+	return runFleet(ctx, fleet.Spec{Config: cfg, Replay: rows, Workload: spec})
 }
 
 // ParseRequestTrace reads a request trace in either supported encoding

@@ -2,6 +2,7 @@ package sprinting_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -128,6 +129,17 @@ func TestPublicFleet(t *testing.T) {
 	}
 	if m.Completed != cfg.Requests || m.P99S <= 0 || m.TotalEnergyJ <= 0 {
 		t.Errorf("degenerate fleet metrics: %+v", m)
+	}
+}
+
+// TestPublicReplayNeedsRows: an empty or nil trace is an error, never a
+// silent fallback to the synthetic arrival source.
+func TestPublicReplayNeedsRows(t *testing.T) {
+	cfg := sprinting.DefaultFleetConfig(sprinting.FleetSprintAware)
+	for _, rows := range [][]sprinting.TraceRequest{nil, {}} {
+		if _, err := sprinting.SimulateReplayContext(context.Background(), cfg, rows, nil); err == nil {
+			t.Errorf("replay of %#v accepted", rows)
+		}
 	}
 }
 

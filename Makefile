@@ -17,7 +17,8 @@
 # is the static gate — gofmt, go vet, the first-party sprintvet
 # analyzers (determinism and hot-path contracts), and govulncheck when
 # it is installed; `make fuzz-smoke` gives the scenario-JSON, workload-
-# spec, and trace-replay fuzzers a short budget each; `make reliability`
+# spec, trace-replay, and recording-reader fuzzers a short budget each;
+# `make reliability`
 # demos the request-reliability layer (gray stragglers, client timeouts,
 # a budgeted retry storm); `make tenants` demos the multi-tenant
 # workload; `make replay` is the record→replay golden gate — it records
@@ -74,14 +75,16 @@ test: vet
 	$(GO) test -race ./...
 
 # A short-budget fuzz pass over every strict-decode surface — the
-# scenario JSON loader, the workload-spec loader, and the request-trace
-# parser/replayer: enough to catch a fresh panic in parsing, validation,
-# or a bounded run without holding up CI. (The go tool takes one -fuzz
-# target per invocation, hence three.)
+# scenario JSON loader, the workload-spec loader, the request-trace
+# parser/replayer, and the flight-recording JSONL reader: enough to
+# catch a fresh panic in parsing, validation, or a bounded run, or a
+# recording that does not re-encode to a fixed point, without holding
+# up CI. (The go tool takes one -fuzz target per invocation, hence four.)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScenarioJSON -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzWorkloadSpecJSON -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzTraceReplay -fuzztime 10s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s ./internal/trace
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .

@@ -244,7 +244,11 @@ func BenchmarkFleetScaleDecoupledParallel(b *testing.B) {
 // counterfactual probes, and 5 s timeline windows. Tracing runs the
 // single loop and buffers the whole recording in memory, so this
 // is the price of observability — compare against BenchmarkFleetTraceOff
-// to isolate it.
+// to isolate it. Each decision's top-k alternatives come from the
+// dispatch index in O(k log N) typical time, so what remains is mostly
+// the per-record allocations and the probes; an O(N) rescan creeping
+// back in fails TestTracedAltsLookupCost, which this benchmark's loose
+// gate tolerance would not catch.
 func BenchmarkFleetTrace(b *testing.B) {
 	cfg := sprinting.DefaultFleetConfig(sprinting.FleetSprintAware)
 	cfg.Nodes = 1000

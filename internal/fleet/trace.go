@@ -19,12 +19,13 @@
 //     every Workers value (TestTraceShardedMatchesSequential).
 //
 //   - Observation only. Every hook reads simulation state and writes
-//     recorder state, never the reverse: the alternatives scan is a
-//     read-only O(N) pass that does not advance the rotation counter,
-//     probes watch departures without touching queues, and timeline
-//     samples project rack buffers to the window boundary without
-//     accruing them — so a traced run's Metrics equal the untraced
-//     run's exactly (TestTracedMetricsUnchanged).
+//     recorder state, never the reverse: the alternatives lookup reads
+//     the dispatch index in O(k log N) typical time (refDispatch runs
+//     scan every node instead) without changing a key or advancing the
+//     rotation counter, probes watch departures without touching
+//     queues, and timeline samples project rack buffers to the window
+//     boundary without accruing them — so a traced run's Metrics equal
+//     the untraced run's exactly (TestTracedMetricsUnchanged).
 //
 // The counterfactual model: for each recorded alternative the probe
 // counts the copies outstanding on that node at decision time. Service
@@ -112,10 +113,16 @@ type recorder struct {
 	inflight  int
 	sprints   []sprintPhase
 
+	// altScratch is the k-best alternatives buffer, reused across
+	// decisions. altLookups counts alternatives lookups and altScored the
+	// nodes they scored — the indexed lookup's cost, which a test gates.
 	altScratch []altCand
+	altLookups int
+	altScored  int
 }
 
-// altCand is one candidate in the alternatives scan.
+// altCand is one alternative: the node, its recorded score, and its
+// rotation distance from the selection's start.
 type altCand struct {
 	node int32
 	key  float64
@@ -233,57 +240,33 @@ func (rec *recorder) decision(s *sim, ri int32, kind string, chosen *node, start
 	}
 }
 
-// collectAlts scans the fleet read-only for the top-k rejected
-// alternatives under the candidate order (key, rotation distance from
-// start) — the same total order the selector minimizes — and plants a
-// counterfactual probe on each: pending counts the copies outstanding on
-// the alternative at decision time, exactly the departures that FIFO
-// service retires before a hypothetical copy would have started.
+// collectAlts finds the top-k rejected alternatives under the candidate
+// order (score, rotation distance from start) — the same total order the
+// selector minimizes, skipping the chosen node, the excluded one, and
+// every dead or full node — and plants a counterfactual probe on each:
+// pending counts the copies outstanding on the alternative at decision
+// time, exactly the departures that FIFO service retires before a
+// hypothetical copy would have started. The lookup reads the dispatch-
+// index segments (indexAlts); refDispatch runs, which build none, take
+// the O(N) reference scan (scanAlts). A decision with no eligible
+// alternative keeps Alts nil, which is what the JSONL reader returns.
 func (rec *recorder) collectAlts(s *sim, d *trace.Decision, idx int, workS float64, chosen, exclude, start int) {
-	nn := len(s.nodes)
-	rot := start % nn
-	// Top-k selection by insertion rather than a full sort: the scan is
-	// on the dispatch hot path of every traced decision and k is tiny,
-	// so keeping the k best in a sorted prefix is O(N·k) instead of
-	// O(N log N). The (key, rot) order is strict — rot is distinct per
-	// node — so the result matches what a full sort would keep.
-	less := func(a, b altCand) bool {
-		if a.key != b.key {
-			return a.key < b.key
+	rot := start % len(s.nodes)
+	rec.altScratch = rec.altScratch[:0]
+	rec.altLookups++
+	if s.segs == nil {
+		rec.scanAlts(s, workS, chosen, exclude, rot)
+	} else {
+		for si := range s.segs {
+			rec.indexAlts(s, &s.segs[si], workS, chosen, exclude, rot)
 		}
-		return a.rot < b.rot
 	}
-	cands := rec.altScratch[:0]
-	for i := range s.nodes {
-		n := &s.nodes[i]
-		if n.id == chosen || n.id == exclude || !n.alive || n.outstanding() >= s.cl(n).queueCap {
-			continue
-		}
-		rd := n.id - rot
-		if rd < 0 {
-			rd += nn
-		}
-		c := altCand{node: int32(n.id), key: rec.score(s, n, workS), rot: int32(rd)}
-		if len(cands) == rec.cfg.TopK && !less(c, cands[len(cands)-1]) {
-			continue
-		}
-		pos := len(cands)
-		if pos < rec.cfg.TopK {
-			cands = append(cands, c)
-		} else {
-			pos--
-		}
-		for pos > 0 && less(c, cands[pos-1]) {
-			cands[pos] = cands[pos-1]
-			pos--
-		}
-		cands[pos] = c
+	k := len(rec.altScratch)
+	if k == 0 {
+		return
 	}
-	rec.altScratch = cands
-	k := len(cands)
 	d.Alts = make([]trace.Alt, k)
-	for ai := 0; ai < k; ai++ {
-		c := cands[ai]
+	for ai, c := range rec.altScratch {
 		d.Alts[ai] = trace.Alt{Node: int(c.node), Key: c.key, HypoDoneS: -1}
 		n := &s.nodes[c.node]
 		pending := n.outstanding()
@@ -298,6 +281,180 @@ func (rec *recorder) collectAlts(s *sim, d *trace.Decision, idx int, workS float
 			pending: int32(pending), workS: workS,
 		})
 		rec.watch[c.node] = append(rec.watch[c.node], int32(len(rec.probes)-1))
+	}
+}
+
+// cand scores node id as an alternative and counts it in altScored.
+func (rec *recorder) cand(s *sim, id int, workS float64, rot int) altCand {
+	rec.altScored++
+	rd := id - rot
+	if rd < 0 {
+		rd += len(s.nodes)
+	}
+	return altCand{node: int32(id), key: rec.score(s, &s.nodes[id], workS), rot: int32(rd)}
+}
+
+// altLess is the candidate order: score, then rotation distance. It is
+// strict — rotation distance is distinct per node.
+func altLess(a, b altCand) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.rot < b.rot
+}
+
+// offer inserts c into the sorted k-best buffer and reports whether it
+// made the cut. Top-k by insertion: k is tiny, so keeping the k best in
+// a sorted prefix beats sorting every candidate.
+func (rec *recorder) offer(c altCand) bool {
+	cands, k := rec.altScratch, rec.cfg.TopK
+	if len(cands) == k && !altLess(c, cands[k-1]) {
+		return false
+	}
+	pos := len(cands)
+	if pos < k {
+		cands = append(cands, c)
+	} else {
+		pos--
+	}
+	for pos > 0 && altLess(c, cands[pos-1]) {
+		cands[pos] = cands[pos-1]
+		pos--
+	}
+	cands[pos] = c
+	rec.altScratch = cands
+	return true
+}
+
+// beaten reports whether a candidate scoring sc — or scoring at least sc,
+// when sc is a lower bound — can no longer enter the full buffer. Equal
+// scores stay in play: they can still win on rotation distance.
+func (rec *recorder) beaten(sc float64) bool {
+	k := rec.cfg.TopK
+	return len(rec.altScratch) == k && sc > rec.altScratch[k-1].key
+}
+
+// scanAlts is the O(N) reference lookup: score every eligible node.
+func (rec *recorder) scanAlts(s *sim, workS float64, chosen, exclude, rot int) {
+	for i := range s.nodes {
+		n := &s.nodes[i]
+		if n.id == chosen || n.id == exclude || !n.alive || n.outstanding() >= s.cl(n).queueCap {
+			continue
+		}
+		rec.offer(rec.cand(s, i, workS, rot))
+	}
+}
+
+// indexAlts merges one dispatch-index segment's best alternatives into
+// the buffer in O(k log N) typical time. The index's full flag is the
+// scan's eligibility filter, so only present leaves are candidates.
+//
+// Every segment has a tie set — nodes that all score the class's least
+// possible score, ordered among themselves by rotation alone — walked in
+// rotation order first (tieWalk). Least-loaded and hedged ties are the
+// idle nodes (drain key −Inf, scored as now) plus any busy node whose
+// backlog drains exactly now; a busy node never drains earlier, because
+// its completion event is still pending. Sprint-aware ties are the idle
+// nodes whose projected budget covers the request at full width — the
+// threshold sprintAwareMin resolves its idle champion with, or every
+// idle node when the class's sprints are free (netW ≤ 0) or widthless.
+// Once the walk fills the buffer or is outbid, nothing outside the tie
+// set can enter: everything else scores strictly worse. Otherwise the
+// tie set is small and the frontier search continues past it.
+func (rec *recorder) indexAlts(s *sim, sg *dspSeg, workS float64, chosen, exclude, rot int) {
+	if sg.idx != nil {
+		if rec.tieWalk(s, sg, sg.idx, s.nowS, workS, chosen, exclude, rot) {
+			rec.frontierAlts(s, sg, sg.idx, false, s.nowS, workS, chosen, exclude, rot)
+		}
+		return
+	}
+	cl := &s.classes[sg.class]
+	thresh := math.Inf(1)
+	if cl.netW > 0 && cl.width > 1 {
+		needJ := math.Min(cl.netW*workS/cl.width, cl.capJ)
+		thresh = -needJ
+		if cl.drainW > 0 {
+			thresh = s.nowS - needJ/cl.drainW
+		}
+	}
+	if rec.tieWalk(s, sg, sg.idleIdx, thresh, workS, chosen, exclude, rot) {
+		rec.frontierAlts(s, sg, sg.idleIdx, true, thresh, workS, chosen, exclude, rot)
+	}
+	rec.frontierAlts(s, sg, sg.busyIdx, false, math.Inf(-1), workS, chosen, exclude, rot)
+}
+
+// tieWalk offers the segment tree's leaves keyed at or below thresh in
+// global rotation order from rot — the segment's suffix from rot, then
+// its prefix, when it holds rot — with one firstLERange descent per leaf.
+// Rotation distance grows along the walk and tie scores are equal, so it
+// stops at the first candidate the buffer rejects or after k accepted
+// ones. It reports whether it visited the whole tie set.
+func (rec *recorder) tieWalk(s *sim, sg *dspSeg, t *dispatchIndex, thresh, workS float64, chosen, exclude, rot int) bool {
+	lrot := 0
+	if rot >= sg.lo && rot < sg.hi {
+		lrot = rot - sg.lo
+	}
+	taken := 0
+	lo, hi := lrot, t.n
+	for pass := 0; pass < 2; pass++ {
+		for lo < hi {
+			i := t.firstLERange(1, 0, t.size, lo, hi, thresh)
+			if i < 0 {
+				break
+			}
+			lo = i + 1
+			id := sg.lo + i
+			if id == chosen || id == exclude {
+				continue
+			}
+			if !rec.offer(rec.cand(s, id, workS, rot)) {
+				return false
+			}
+			if taken++; taken == rec.cfg.TopK {
+				return false
+			}
+		}
+		lo, hi = 0, lrot
+	}
+	return true
+}
+
+// frontierAlts continues past an exhausted tie set (leaves keyed at or
+// below skip, already offered) with the best-first frontier over the
+// tree, reusing its scratch. On a drain-keyed tree key + work/width
+// (work/width is 0 under least-loaded, whose score is the key) bounds a
+// subtree's scores from below, so the search ends once the bound is
+// strictly above the k-th score. On the sprint-aware idle tree the score
+// is non-decreasing in tKey — the order the frontier pops leaves in —
+// so it ends at the first leaf that scores strictly worse.
+func (rec *recorder) frontierAlts(s *sim, sg *dspSeg, t *dispatchIndex, idle bool, skip, workS float64, chosen, exclude, rot int) {
+	wow := 0.0
+	if s.cfg.Policy == SprintAware {
+		wow = workS / s.classes[sg.class].width
+	}
+	t.resetFrontier()
+	for len(t.scratch) > 0 {
+		e := t.fpop()
+		if !idle && rec.beaten(e.d+wow) {
+			return
+		}
+		if int(e.idx) < t.size {
+			for c := 2 * e.idx; c <= 2*e.idx+1; c++ {
+				if !t.full[c] {
+					t.fpush(idxEnt{d: t.d[c], idx: c})
+				}
+			}
+			continue
+		}
+		id := sg.lo + int(e.idx) - t.size
+		if e.d <= skip || id == chosen || id == exclude {
+			continue
+		}
+		c := rec.cand(s, id, workS, rot)
+		if idle && rec.beaten(c.key) {
+			return
+		}
+		rec.offer(c)
 	}
 }
 

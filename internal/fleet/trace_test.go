@@ -501,3 +501,187 @@ func TestTraceCounterfactualIdleExact(t *testing.T) {
 		t.Fatalf("alt completion %g != realized %g", d.BestAltDoneS, d.DoneS)
 	}
 }
+
+// TestTracedAltsMatchReferenceScan is the alternatives lookup's
+// cross-implementation suite: the recorder answers each decision's top-k
+// rejected alternatives from the dispatch index, and the recording's
+// JSONL bytes must equal those of a refDispatch run, which scores every
+// node. The grid is TestIndexedDispatchMatchesReferenceScan's (every
+// policy × coordination × seed, healthy and overloaded into tiny queues)
+// with k varied by seed, plus a heterogeneous-class scenario (several
+// index segments) and a run with reliability faults and node and rack
+// failures, for every policy.
+func TestTracedAltsMatchReferenceScan(t *testing.T) {
+	if refDispatch {
+		t.Fatal("refDispatch already set")
+	}
+	check := func(name string, spec Spec) {
+		t.Helper()
+		_, tr, err := Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refDispatch = true
+		_, refTr, err := Run(context.Background(), spec)
+		refDispatch = false
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := traceBytes(t, tr), traceBytes(t, refTr)
+		if !bytes.Equal(got, want) {
+			gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+			for i := 0; i < len(gl) && i < len(wl); i++ {
+				if !bytes.Equal(gl[i], wl[i]) {
+					t.Errorf("%s: recording diverged from the reference scan at line %d:\nindexed: %s\nref:     %s", name, i+1, gl[i], wl[i])
+					return
+				}
+			}
+			t.Errorf("%s: recording length %d lines, reference %d", name, len(gl), len(wl))
+		}
+	}
+	shapes := []struct {
+		name     string
+		overload float64
+		queueCap int
+	}{
+		{"healthy", 0.9, 256},
+		{"overloaded", 1.6, 3},
+	}
+	seeds := []int64{1, 7, 42}
+	topK := []int{3, 1, 6}
+	for _, sh := range shapes {
+		for _, p := range Policies() {
+			for _, c := range append([]Coordination{NoCoordination}, Coordinations()...) {
+				for si, seed := range seeds {
+					cfg := DefaultConfig(p)
+					cfg.Nodes = 24
+					cfg.Requests = 1500
+					cfg.Seed = seed
+					cfg.QueueCap = sh.queueCap
+					cfg.ArrivalRatePerS = sh.overload * float64(cfg.Nodes) / cfg.MeanWorkS
+					cfg.Coordination = c
+					cfg.Trace = TraceConfig{Level: trace.LevelDecisions, TopK: topK[si]}
+					check(fmt.Sprintf("%s/%s/%s/seed=%d", sh.name, p, c, seed), Spec{Config: cfg})
+				}
+			}
+		}
+	}
+	for _, p := range Policies() {
+		cfg := DefaultConfig(p)
+		cfg.Nodes = 16
+		cfg.Seed = 3
+		cfg.Coordination = TokenPermit
+		cfg.RackSize = 4
+		cfg.Trace = TraceConfig{Level: trace.LevelDecisions, TopK: 5}
+		sc := Scenario{
+			BaseRatePerS: 3,
+			Phases: []Phase{
+				{Name: "steady", DurationS: 120},
+				{Name: "surge", DurationS: 60, StartFactor: 1.8},
+			},
+			Classes: []NodeClass{
+				{Name: "big", Count: 4, SprintWidth: 32, BudgetScale: 2, DrainScale: 2},
+				{Name: "small", Count: 9, NominalPowerW: 0.5},
+				{Name: "tail", Count: 3, SprintWidth: 4},
+			},
+			Churn: Churn{MTBFS: 40, MeanDowntimeS: 5},
+		}
+		check(fmt.Sprintf("heterogeneous/%s", p), Spec{Config: cfg, Scenario: &sc})
+
+		cfg, sc = relChurnScenario()
+		cfg.Policy = p
+		cfg.Trace = TraceConfig{Level: trace.LevelFull}
+		check(fmt.Sprintf("reliability-churn/%s", p), Spec{Config: cfg, Scenario: &sc})
+
+		// Dyadic arrivals and full-width service times: completions land
+		// exactly on arrival instants, and an arrival fires before a
+		// completion at the same instant, so busy nodes draining exactly
+		// now tie with the idle set and must win on rotation distance.
+		cfg = DefaultConfig(p)
+		cfg.Nodes = 8
+		cfg.QueueCap = 4
+		cfg.Trace = TraceConfig{Level: trace.LevelDecisions, TopK: 4}
+		rows := make([]TraceRequest, 1200)
+		for i := range rows {
+			m := 1 + (i*7+i/3)%8
+			rows[i] = TraceRequest{ArrivalS: float64(i) / 8, WorkS: float64(m * cfg.SprintWidth / 8)}
+		}
+		check(fmt.Sprintf("coincident/%s", p), Spec{Config: cfg, Replay: rows})
+	}
+}
+
+// TestTracedAltsLookupCost is the gate that fails if the alternatives
+// lookup falls back to scoring the fleet: on a healthy-load 4096-node
+// traced run it must score under 64 nodes per decision on average, for
+// sprint-aware and least-loaded dispatch alike. The reference scan
+// scores about 4096.
+func TestTracedAltsLookupCost(t *testing.T) {
+	for _, p := range []Policy{SprintAware, LeastLoaded} {
+		cfg := DefaultConfig(p)
+		cfg.Nodes = 4096
+		cfg.Requests = 20000
+		cfg.ArrivalRatePerS = 0.9 * float64(cfg.Nodes) / cfg.MeanWorkS
+		cfg.Trace = TraceConfig{Level: trace.LevelDecisions}
+		src, err := Spec{Config: cfg}.resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := newRecorder(src.cfg)
+		_, err = newSim(src, rec).start(context.Background())
+		putArena(src.reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.altLookups == 0 {
+			t.Fatalf("%s: no alternatives lookups ran", p)
+		}
+		if mean := float64(rec.altScored) / float64(rec.altLookups); mean >= 64 {
+			t.Errorf("%s: the alternatives lookup scored %.1f nodes per decision (%d over %d lookups), want < 64",
+				p, mean, rec.altScored, rec.altLookups)
+		} else {
+			t.Logf("%s: %.2f nodes scored per decision over %d lookups", p, mean, rec.altLookups)
+		}
+	}
+}
+
+// TestReadJSONLRoundTrip holds trace.ReadJSONL to its promise on real
+// recordings: reading back a recording's JSONL yields a Trace deeply
+// equal to the recorded one. The 1-node fleet records only decisions
+// with no eligible alternative, whose Alts must stay nil (the JSONL
+// omits an empty list, so the reader cannot tell it from nil).
+func TestReadJSONLRoundTrip(t *testing.T) {
+	single := DefaultConfig(SprintAware)
+	single.Nodes = 1
+	single.Requests = 400
+	racked := DefaultConfig(SprintAware)
+	racked.Nodes = 24
+	racked.Requests = 1500
+	racked.ArrivalRatePerS = 1.2 * float64(racked.Nodes) / racked.MeanWorkS
+	racked.Coordination = TokenPermit
+	racked.RackSize = 5
+	racked.Trace = TraceConfig{Level: trace.LevelFull}
+	hedged := DefaultConfig(Hedged)
+	hedged.Nodes = 12
+	hedged.Requests = 1500
+	hedged.ArrivalRatePerS = 1.1 * float64(hedged.Nodes) / hedged.MeanWorkS
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"1-node", single}, {"24-node-racked-full", racked}, {"hedged", hedged}} {
+		name := tc.name
+		_, tr := mustTraced(t, tc.cfg)
+		back, err := trace.ReadJSONL(bytes.NewReader(traceBytes(t, tr)))
+		if err != nil {
+			t.Fatalf("%s: ReadJSONL: %v", name, err)
+		}
+		if !reflect.DeepEqual(back, tr) {
+			diff := 0
+			for i := range tr.Records {
+				if i < len(back.Records) && !reflect.DeepEqual(back.Records[i], tr.Records[i]) {
+					diff++
+				}
+			}
+			t.Errorf("%s: ReadJSONL(WriteJSONL(tr)) != tr (%d of %d records differ)", name, diff, len(tr.Records))
+		}
+	}
+}

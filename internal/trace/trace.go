@@ -191,9 +191,11 @@ func (tr *Trace) WriteJSONL(w io.Writer) error {
 }
 
 // ReadJSONL parses a recording serialized by WriteJSONL: the meta header
-// line followed by one record per line. Decoding is strict — unknown
-// fields are rejected, the first non-blank line must be the meta header —
-// so a recording round-trips exactly: ReadJSONL(WriteJSONL(tr)) == tr.
+// line followed by one record per line. Decoding is strict — the first
+// non-blank line must be the meta header, unknown fields are rejected,
+// each line holds exactly one JSON object and nothing after it, and each
+// record's tag names its one present payload — so a recording round-trips
+// exactly: ReadJSONL(WriteJSONL(tr)) == tr.
 func ReadJSONL(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
@@ -206,11 +208,9 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 		if len(line) == 0 {
 			continue
 		}
-		dec := json.NewDecoder(bytes.NewReader(line))
-		dec.DisallowUnknownFields()
 		if !sawMeta {
 			var ml metaLine
-			if err := dec.Decode(&ml); err != nil || ml.T != "meta" {
+			if err := decodeLine(line, &ml); err != nil || ml.T != "meta" {
 				return nil, fmt.Errorf("trace: line %d: first line must be the meta header {\"t\":\"meta\",...}", lineNo)
 			}
 			tr.Meta = ml.Meta
@@ -218,7 +218,10 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 			continue
 		}
 		var rec Record
-		if err := dec.Decode(&rec); err != nil {
+		if err := decodeLine(line, &rec); err != nil {
+			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
+		}
+		if err := rec.checkPayload(); err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
 		}
 		tr.Records = append(tr.Records, rec)
@@ -230,6 +233,46 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: empty recording (no meta header)")
 	}
 	return tr, nil
+}
+
+// decodeLine strictly decodes one trimmed line into v: unknown fields
+// are errors, and so is anything after the object.
+func decodeLine(line []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if off := dec.InputOffset(); off != int64(len(line)) {
+		return fmt.Errorf("unexpected data after the object at byte %d", off)
+	}
+	return nil
+}
+
+// checkPayload enforces the Record contract: the tag names exactly one
+// present payload.
+func (r *Record) checkPayload() error {
+	n := 0
+	for _, present := range []bool{r.Decision != nil, r.Event != nil, r.Sample != nil} {
+		if present {
+			n++
+		}
+	}
+	ok := n == 1
+	switch r.T {
+	case "decision":
+		ok = ok && r.Decision != nil
+	case "event":
+		ok = ok && r.Event != nil
+	case "sample":
+		ok = ok && r.Sample != nil
+	default:
+		return fmt.Errorf("unknown record tag %q (want decision|event|sample)", r.T)
+	}
+	if !ok {
+		return fmt.Errorf("%q record must carry exactly one payload, its own; it carries %d", r.T, n)
+	}
+	return nil
 }
 
 // DecisionAt pairs a decision record with its timestamp; the Decision
@@ -251,8 +294,8 @@ func (tr *Trace) Decisions() []DecisionAt {
 	return out
 }
 
-// Samples returns the timeline sample records in order (aliasing the
-// trace).
+// Samples returns the timeline sample records in order, as copies (the
+// copies' rack slices still share the trace's backing arrays).
 func (tr *Trace) Samples() []Sample {
 	var out []Sample
 	for i := range tr.Records {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -127,4 +128,85 @@ func TestSparkline(t *testing.T) {
 	if Sparkline(nil) != "" {
 		t.Fatal("empty series should render empty")
 	}
+}
+
+// recordingHead is the start of a flash-crowd recording (the make replay
+// run): the meta header, a decision with its alternatives, sprint events,
+// and a timeline sample with rack columns.
+const recordingHead = `{"t":"meta","meta":{"policy":"sprint-aware","coordination":"token-permit","nodes":16,"racks":2,"requests":1115,"seed":12345,"level":"decisions","window_s":5,"topk":3}}
+{"t":"decision","at_s":0.025234363586494342,"seq":0,"decision":{"kind":"dispatch","req":0,"phase":0,"node":0,"outcome":"enqueued","key":0.04085936358649434,"key_kind":"budget","work_s":0.25,"alts":[{"node":1,"key":0.04085936358649434,"hypo_done_s":0.04085936358649434},{"node":2,"key":0.04085936358649434,"hypo_done_s":0.04085936358649434}],"done_s":0.04085936358649434,"best_alt":1,"best_alt_done_s":0.04085936358649434,"regret_s":0}}
+{"t":"event","at_s":0.025234363586494342,"seq":1,"event":{"kind":"sprint-start","node":0,"rack":0,"req":-1,"phase":-1,"dur_s":0.015625}}
+{"t":"event","at_s":0.04085936358649434,"seq":2,"event":{"kind":"sprint-end","node":0,"rack":-1,"req":-1,"phase":-1,"dur_s":0}}
+{"t":"sample","at_s":5,"seq":65,"sample":{"start_s":0,"end_s":5,"phase":0,"completed":21,"throughput_rps":4.2,"p50_s":0.14180644549089028,"p99_s":1.9740304077315893,"in_flight":2,"sprints":1,"rack_draw_w":[23,8],"rack_buffer_j":[61.50937500000001,61.50937500000001]}}
+`
+
+// metaHead is a bare meta header line.
+const metaHead = `{"t":"meta","meta":{"policy":"least-loaded","coordination":"none","nodes":2,"racks":0,"requests":1,"seed":1,"level":"decisions","window_s":5,"topk":3}}` + "\n"
+
+// malformedRecordings are recordings ReadJSONL must reject, each with the
+// line number its error must name.
+var malformedRecordings = []struct {
+	name string
+	in   string
+	line int
+}{
+	{"trailing bytes after the object", metaHead + `{"t":"event","at_s":1,"seq":0,"event":{"kind":"complete","node":0,"rack":-1,"req":0,"phase":-1,"dur_s":1}} garbage`, 2},
+	{"second object on the line", metaHead + `{"t":"event","at_s":1,"seq":0,"event":{"kind":"complete","node":0,"rack":-1,"req":0,"phase":-1,"dur_s":1}} {"t":"event","at_s":2,"seq":1,"event":{"kind":"complete","node":1,"rack":-1,"req":1,"phase":-1,"dur_s":1}}`, 2},
+	{"decision tag with an event payload", metaHead + `{"t":"decision","at_s":1,"seq":0,"event":{"kind":"complete","node":0,"rack":-1,"req":0,"phase":-1,"dur_s":1}}`, 2},
+	{"no payload", metaHead + "\n" + `{"t":"bogus","at_s":1,"seq":0}`, 3},
+	{"two payloads", metaHead + `{"t":"event","at_s":1,"seq":0,"event":{"kind":"complete","node":0,"rack":-1,"req":0,"phase":-1,"dur_s":1},"sample":{"start_s":0,"end_s":5,"phase":-1,"completed":0,"throughput_rps":0,"p50_s":-1,"p99_s":-1,"in_flight":0,"sprints":0}}`, 2},
+	{"meta line with trailing junk", strings.TrimSuffix(metaHead, "\n") + " junk\n", 1},
+	{"unknown field", metaHead + `{"t":"event","at_s":1,"seq":0,"bogus":1,"event":{"kind":"complete","node":0,"rack":-1,"req":0,"phase":-1,"dur_s":1}}`, 2},
+	{"no meta header", `{"t":"event","at_s":1,"seq":0,"event":{"kind":"complete","node":0,"rack":-1,"req":0,"phase":-1,"dur_s":1}}`, 1},
+}
+
+// TestReadJSONLRejects holds ReadJSONL to its strictness promise: each
+// malformed recording fails with an error naming the offending line,
+// while the well-formed recording it is built like still parses.
+func TestReadJSONLRejects(t *testing.T) {
+	if _, err := ReadJSONL(strings.NewReader(recordingHead)); err != nil {
+		t.Fatalf("well-formed recording rejected: %v", err)
+	}
+	for _, tc := range malformedRecordings {
+		tr, err := ReadJSONL(strings.NewReader(tc.in))
+		if err == nil {
+			t.Errorf("%s: accepted (%d records)", tc.name, len(tr.Records))
+			continue
+		}
+		if want := fmt.Sprintf("line %d:", tc.line); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, want)
+		}
+	}
+}
+
+// FuzzReadJSONL fuzzes the recording reader: it must never panic, and
+// any recording it accepts must re-encode to a fixed point —
+// Write(Read(Write(Read(x)))) == Write(Read(x)).
+func FuzzReadJSONL(f *testing.F) {
+	f.Add([]byte(recordingHead))
+	f.Add([]byte(metaHead))
+	for _, tc := range malformedRecordings {
+		f.Add([]byte(tc.in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := ReadJSONL(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var once bytes.Buffer
+		if err := tr.WriteJSONL(&once); err != nil {
+			t.Fatalf("accepted recording failed to re-encode: %v", err)
+		}
+		back, err := ReadJSONL(bytes.NewReader(once.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded recording failed to parse: %v\n%s", err, once.Bytes())
+		}
+		var twice bytes.Buffer
+		if err := back.WriteJSONL(&twice); err != nil {
+			t.Fatalf("second re-encode failed: %v", err)
+		}
+		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
+			t.Fatalf("re-encoding is not a fixed point:\n%s\n%s", once.Bytes(), twice.Bytes())
+		}
+	})
 }

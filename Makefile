@@ -20,8 +20,10 @@
 # spec, trace-replay, and recording-reader fuzzers a short budget each;
 # `make reliability`
 # demos the request-reliability layer (gray stragglers, client timeouts,
-# a budgeted retry storm); `make tenants` demos the multi-tenant
-# workload; `make replay` is the record→replay golden gate — it records
+# a budgeted retry storm); `make tenants` runs the multi-tenant workload
+# and diffs its report against the committed testdata/GOLDEN_tenants.txt
+# (refresh with `make tenants-golden` after an intentional engine or
+# report change); `make replay` is the record→replay golden gate — it records
 # the flash-crowd scenario with the flight recorder, converts the
 # recording to a replayable trace, replays it at two shard-worker
 # counts, and diffs the byte-identical report against the committed
@@ -44,7 +46,7 @@ TOLERANCE ?= 1.5
 # note instead of a false verdict.
 MIN_SPEEDUP ?= BenchmarkFleetScaleDecoupledParallel=3
 
-.PHONY: all build test bench benchsmoke bench-json bench-gate bench-baseline vet lint fuzz-smoke fleet rack scenario trace reliability tenants replay replay-golden replay-run
+.PHONY: all build test bench benchsmoke bench-json bench-gate bench-baseline vet lint fuzz-smoke fleet rack scenario trace reliability tenants tenants-golden tenants-run replay replay-golden replay-run
 
 all: build
 
@@ -125,9 +127,23 @@ reliability:
 		-gray-frac 0.2 -gray-slowdown 6 -timeout-s 5 -max-retries 8 \
 		-retry-backoff-s 0.1 -retry-budget 0.7
 
-tenants:
-	$(GO) run ./cmd/fleetsim -workload examples/workloads/tenants.json \
-		-policy sprint-aware
+# tenants is the multi-tenant golden gate: the workload report must match
+# the committed golden byte for byte.
+tenants: tenants-run
+	diff -u testdata/GOLDEN_tenants.txt TENANTS_report.txt
+	@echo "tenants gate: report matches the golden"
+
+# tenants-golden refreshes the committed golden after an intentional
+# engine or report change.
+tenants-golden: tenants-run
+	cp TENANTS_report.txt testdata/GOLDEN_tenants.txt
+
+# tenants-run regenerates the multi-tenant workload report.
+tenants-run:
+	mkdir -p bin
+	$(GO) build -o bin/fleetsim ./cmd/fleetsim
+	bin/fleetsim -workload examples/workloads/tenants.json \
+		-policy sprint-aware > TENANTS_report.txt
 
 # The record→replay golden gate. One traced flash-crowd run produces the
 # recording; -convert-trace turns its dispatch decisions into a

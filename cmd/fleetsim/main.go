@@ -50,6 +50,11 @@
 // -exact-quantiles buffers them; -cpuprofile and -memprofile capture
 // pprof profiles of the run for performance work.
 //
+// Every mode is one pipeline: the optional -scenario, -workload, and
+// -replay files fill one run specification, each policy × coordination
+// combination runs a copy of it, and the shared flags (-workers, the
+// profiles, -trace) apply whichever files are set.
+//
 // With -scenario file.json the run goes dynamic: the JSON file declares
 // load phases (flat, ramp, sine, decay, with per-phase ambient shifts),
 // optional heterogeneous node classes, and node failure/recovery churn,
@@ -62,16 +67,29 @@
 //
 // A minimal scenario file:
 //
+//	{
+//	  "base_rate_per_s": 7.2,
+//	  "phases": [
+//	    {"name": "baseline", "duration_s": 60, "start_factor": 0.7},
+//	    {"name": "surge", "duration_s": 40, "start_factor": 2.0},
+//	    {"name": "recovery", "duration_s": 60, "shape": "decay",
+//	     "start_factor": 2.0, "end_factor": 0.5}
+//	  ],
+//	  "churn": {"mtbf_s": 20, "mean_downtime_s": 5}
+//	}
+//
 // With -trace file.jsonl the run attaches the flight recorder and writes
 // the recording as JSONL: a meta header, then every dispatch decision
 // (winning key, top-k rejected alternatives with counterfactual finish
 // times), lifecycle event (hedges, breaker trips, churn, sprints), and
 // rolling timeline sample, in exact global event order — byte-identical
 // at any -shard-workers count. Tracing records a single run, so it
-// requires one concrete -policy and -coordination; -trace-level picks
-// decisions (default) or full, -counterfactual-k and -timeline-window-s
-// tune the recorder, and -trace-summary prints the top regret decisions
-// and a per-window p99 sparkline after the report:
+// requires one concrete -policy and -coordination; it composes with
+// every input file, and the recorder observes, never steers, so the
+// report is the untraced run's. -trace-level picks decisions (default)
+// or full, -counterfactual-k and -timeline-window-s tune the recorder,
+// and -trace-summary prints the top regret decisions and a per-window
+// p99 sparkline after the report:
 //
 //	fleetsim -policy sprint-aware -trace out.jsonl -counterfactual-k 5
 //	fleetsim -scenario flashcrowd.json -coordination token-permit \
@@ -98,17 +116,6 @@
 //	    fleetsim -policy sprint-aware -replay trace.csv
 //	fleetsim -workload tenants.json -policy sprint-aware
 //	fleetsim -workload tenants.json -scenario flashcrowd.json
-//
-//	{
-//	  "base_rate_per_s": 7.2,
-//	  "phases": [
-//	    {"name": "baseline", "duration_s": 60, "start_factor": 0.7},
-//	    {"name": "surge", "duration_s": 40, "start_factor": 2.0},
-//	    {"name": "recovery", "duration_s": 60, "shape": "decay",
-//	     "start_factor": 2.0, "end_factor": 0.5}
-//	  ],
-//	  "churn": {"mtbf_s": 20, "mean_downtime_s": 5}
-//	}
 package main
 
 import (
@@ -130,23 +137,10 @@ import (
 	"sprinting"
 )
 
-// runScenario drives the dynamic-scenario mode: every policy ×
-// coordination combination plays the same scenario, and the report breaks
-// each run down per phase (counts attributed to the phase a request
-// arrived in) before the overall line.
-func runScenario(ctx context.Context, path string, scen sprinting.FleetScenario, scs []sprinting.ScenarioConfig, workers int, stdout, stderr io.Writer) int {
-	metrics, err := sprinting.SimulateScenarioSweepContext(ctx, scs, workers)
-	if err != nil {
-		fmt.Fprintln(stderr, "fleetsim:", err)
-		return 1
-	}
-	printScenarioReport(path, scen, metrics, stdout)
-	return 0
-}
-
-// printScenarioReport renders the per-phase breakdown for each run; the
-// traced path shares it with the sweep.
-func printScenarioReport(path string, scen sprinting.FleetScenario, metrics []sprinting.FleetMetrics, stdout io.Writer) {
+// printScenarioHeader names the scenario run: its phases, total span, and
+// the node count the simulation actually ran with (class declarations
+// size the fleet).
+func printScenarioHeader(stdout io.Writer, path string, scen sprinting.FleetScenario, nodes int) {
 	totalS := 0.0
 	for _, p := range scen.Phases {
 		totalS += p.DurationS
@@ -159,10 +153,14 @@ func printScenarioReport(path string, scen sprinting.FleetScenario, metrics []sp
 	if n := len(scen.Classes); n > 0 {
 		classes = fmt.Sprintf(", %d node classes", n)
 	}
-	// Class declarations size the fleet; the metrics carry the node count
-	// the simulation actually ran with.
 	fmt.Fprintf(stdout, "scenario %s: %d phases over %.0f s, %d nodes%s%s\n",
-		path, len(scen.Phases), totalS, len(metrics[0].Nodes), classes, churn)
+		path, len(scen.Phases), totalS, nodes, classes, churn)
+}
+
+// printScenarioReport renders each scenario run broken down per phase
+// (counts attributed to the phase a request arrived in) before its
+// overall line.
+func printScenarioReport(stdout io.Writer, metrics []sprinting.FleetMetrics) {
 	for _, m := range metrics {
 		fmt.Fprintf(stdout, "\n== %s · coordination %s ==\n", m.Policy, m.Coordination)
 		fmt.Fprintf(stdout, "%-12s %11s %8s %12s %9s %9s %9s %8s %7s %6s %6s\n",
@@ -190,7 +188,6 @@ func printScenarioReport(path string, scen sprinting.FleetScenario, metrics []sp
 		fmt.Fprintln(stdout)
 		printWorkloadReport(stdout, m)
 	}
-	fmt.Fprintln(stdout, "\nphases attribute requests to their arrival window; sprint-aware dispatch rides a flash crowd on remaining thermal headroom")
 }
 
 // printReliabilityLine appends one run's reliability-layer outcome below
@@ -260,6 +257,28 @@ func printWorkloadReport(stdout io.Writer, m sprinting.FleetMetrics) {
 	}
 	if len(m.Tenants) > 0 {
 		fmt.Fprintf(stdout, "%d tenants, Jain fairness %.3f\n", len(m.Tenants), m.JainFairness)
+	}
+}
+
+// readInput reads one input file and decodes its bytes; a decode error
+// names the file.
+func readInput(path string, decode func([]byte) error) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	if err := decode(data); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
+}
+
+// strictJSON decodes one JSON document into v, rejecting unknown fields.
+func strictJSON(v any) func([]byte) error {
+	return func(data []byte) error {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		return dec.Decode(v)
 	}
 }
 
@@ -488,7 +507,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return convertRecording(*convertTrace, *replayOut, stdout, stderr)
 	}
 	if *replayPath != "" {
-		for _, f := range []string{"scenario", "workload", "trace", "requests", "rate", "work"} {
+		for _, f := range []string{"scenario", "workload", "requests", "rate", "work"} {
 			if set[f] {
 				fmt.Fprintf(stderr, "fleetsim: -%s conflicts with -replay (the trace owns the load profile)\n", f)
 				return 2
@@ -501,7 +520,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *workloadPath != "" {
-		for _, f := range []string{"requests", "rate", "work", "trace"} {
+		for _, f := range []string{"requests", "rate", "work"} {
 			if set[f] {
 				fmt.Fprintf(stderr, "fleetsim: -%s conflicts with -workload (the workload spec owns the load profile)\n", f)
 				return 2
@@ -559,7 +578,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	rackMode := len(coords) > 1 || coords[0] != sprinting.RackNoCoordination
 
 	// mkCfg builds one run's config from the shared flags; Requests and
-	// ArrivalRatePerS stay out of it because only the synthetic mode
+	// ArrivalRatePerS stay out of it because only the synthetic source
 	// reads them (replay, workload, and scenario own their load profile).
 	mkCfg := func(p sprinting.FleetPolicy, c sprinting.RackCoordination) sprinting.FleetConfig {
 		cfg := sprinting.DefaultFleetConfig(p)
@@ -585,133 +604,55 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return cfg
 	}
 
+	// Every mode runs one pipeline. The optional input files fill one spec
+	// template; a file that is set owns the load, so the synthetic
+	// Requests and ArrivalRatePerS apply only when none is.
+	var (
+		tmpl sprinting.FleetSpec
+		err  error
+	)
 	if *replayPath != "" {
-		data, err := os.ReadFile(*replayPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "fleetsim:", err)
-			return 1
-		}
-		rows, err := sprinting.ParseRequestTrace(bytes.NewReader(data))
-		if err != nil {
-			fmt.Fprintf(stderr, "fleetsim: %s: %v\n", *replayPath, err)
-			return 1
-		}
-		m, err := sprinting.SimulateReplayContext(ctx, mkCfg(policies[0], coords[0]), rows, nil)
-		if err != nil {
-			fmt.Fprintln(stderr, "fleetsim:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "replay %s: %d recorded arrivals, %d nodes (seed %d)\n\n",
-			*replayPath, len(rows), *nodes, *seed)
-		if m.ApproxQuantiles {
-			fmt.Fprintln(stdout, "quantiles: streaming log-scale histogram (within 1.81%; mean/max exact) — use -exact-quantiles to buffer")
-		}
-		printRunTable(stdout, rackMode, []sprinting.FleetMetrics{m})
-		return 0
-	}
-
-	var wspec *sprinting.FleetWorkload
-	if *workloadPath != "" {
-		data, err := os.ReadFile(*workloadPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "fleetsim:", err)
-			return 1
-		}
-		var w sprinting.FleetWorkload
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&w); err != nil {
-			fmt.Fprintf(stderr, "fleetsim: %s: %v\n", *workloadPath, err)
-			return 1
-		}
-		wspec = &w
-	}
-	if wspec != nil && *scenarioPath == "" {
-		fmt.Fprintf(stdout, "workload %s: %d classes, %d tenants, %d nodes (seed %d)\n\n",
-			*workloadPath, len(wspec.Classes), len(wspec.Tenants), *nodes, *seed)
-		var metrics []sprinting.FleetMetrics
-		for _, p := range policies {
-			for _, c := range coords {
-				m, err := sprinting.SimulateWorkloadContext(ctx, mkCfg(p, c), *wspec)
-				if err != nil {
-					fmt.Fprintln(stderr, "fleetsim:", err)
-					return 1
-				}
-				metrics = append(metrics, m)
+		err = readInput(*replayPath, func(data []byte) (err error) {
+			tmpl.Replay, err = sprinting.ParseRequestTrace(bytes.NewReader(data))
+			if tmpl.Replay == nil {
+				tmpl.Replay = []sprinting.TraceRequest{} // a nil Replay would select the synthetic source
 			}
-		}
-		if len(metrics) > 0 && metrics[0].ApproxQuantiles {
-			fmt.Fprintln(stdout, "quantiles: streaming log-scale histogram (within 1.81%; mean/max exact) — use -exact-quantiles to buffer")
-		}
-		printRunTable(stdout, rackMode, metrics)
-		return 0
+			return err
+		})
 	}
-
-	if *scenarioPath != "" {
-		data, err := os.ReadFile(*scenarioPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "fleetsim:", err)
-			return 1
-		}
-		var scen sprinting.FleetScenario
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&scen); err != nil {
-			fmt.Fprintf(stderr, "fleetsim: %s: %v\n", *scenarioPath, err)
-			return 1
-		}
+	if err == nil && *workloadPath != "" {
+		tmpl.Workload = new(sprinting.FleetWorkload)
+		err = readInput(*workloadPath, strictJSON(tmpl.Workload))
+	}
+	if err == nil && *scenarioPath != "" {
+		tmpl.Scenario = new(sprinting.FleetScenario)
+		err = readInput(*scenarioPath, strictJSON(tmpl.Scenario))
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "fleetsim:", err)
+		return 1
+	}
+	if tmpl.Scenario != nil {
 		// Class declarations size the fleet; an explicit -nodes that
 		// disagrees is rejected like the other scenario conflicts rather
 		// than silently overridden.
-		if classNodes := scen.Nodes(); set["nodes"] && classNodes > 0 && classNodes != *nodes {
+		if classNodes := tmpl.Scenario.Nodes(); set["nodes"] && classNodes > 0 && classNodes != *nodes {
 			fmt.Fprintf(stderr, "fleetsim: -nodes %d conflicts with the scenario's classes (%d nodes); drop -nodes or fix the class counts\n",
 				*nodes, classNodes)
 			return 2
 		}
-		var scs []sprinting.ScenarioConfig
-		for _, p := range policies {
-			for _, c := range coords {
-				scs = append(scs, sprinting.ScenarioConfig{Fleet: mkCfg(p, c), Scenario: scen})
-			}
-		}
-		if wspec != nil {
-			var metrics []sprinting.FleetMetrics
-			for _, sc := range scs {
-				m, err := sprinting.SimulateScenarioWorkloadContext(ctx, sc, *wspec)
-				if err != nil {
-					fmt.Fprintln(stderr, "fleetsim:", err)
-					return 1
-				}
-				metrics = append(metrics, m)
-			}
-			printScenarioReport(*scenarioPath, scen, metrics, stdout)
-			return 0
-		}
-		if *tracePath != "" {
-			m, tr, err := sprinting.SimulateScenarioTracedContext(ctx, scs[0])
-			if err != nil {
-				fmt.Fprintln(stderr, "fleetsim:", err)
-				return 1
-			}
-			if code := writeTrace(*tracePath, tr, stderr); code != 0 {
-				return code
-			}
-			printScenarioReport(*scenarioPath, scen, []sprinting.FleetMetrics{m}, stdout)
-			if *traceSummary {
-				printTraceSummary(stdout, *tracePath, tr)
-			}
-			return 0
-		}
-		return runScenario(ctx, *scenarioPath, scen, scs, *workers, stdout, stderr)
 	}
-
-	var cfgs []sprinting.FleetConfig
+	ownsLoad := tmpl.Replay != nil || tmpl.Workload != nil || tmpl.Scenario != nil
+	var specs []sprinting.FleetSpec
 	for _, p := range policies {
 		for _, c := range coords {
-			cfg := mkCfg(p, c)
-			cfg.Requests = *requests
-			cfg.ArrivalRatePerS = *rate
-			cfgs = append(cfgs, cfg)
+			spec := tmpl
+			spec.Config = mkCfg(p, c)
+			if !ownsLoad {
+				spec.Config.Requests = *requests
+				spec.Config.ArrivalRatePerS = *rate
+			}
+			specs = append(specs, spec)
 		}
 	}
 
@@ -729,28 +670,25 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		defer pprof.StopCPUProfile()
 	}
 
-	fmt.Fprintf(stdout, "fleet: %d nodes, %d requests at %.2f req/s (mean work %.1f s, seed %d)\n\n",
-		*nodes, *requests, cfgs[0].EffectiveRatePerS(), *work, *seed)
+	// Tracing records one concrete run; everything else is a sweep.
 	var (
 		metrics []sprinting.FleetMetrics
 		tr      *sprinting.FleetTrace
 	)
 	if *tracePath != "" {
-		m, rec, err := sprinting.SimulateFleetTracedContext(ctx, cfgs[0])
-		if err != nil {
-			fmt.Fprintln(stderr, "fleetsim:", err)
-			return 1
-		}
-		if code := writeTrace(*tracePath, rec, stderr); code != 0 {
-			return code
-		}
-		metrics, tr = []sprinting.FleetMetrics{m}, rec
+		var m sprinting.FleetMetrics
+		m, tr, err = sprinting.RunFleet(ctx, specs[0])
+		metrics = []sprinting.FleetMetrics{m}
 	} else {
-		var err error
-		metrics, err = sprinting.SimulateFleetSweepContext(ctx, cfgs, *workers)
-		if err != nil {
-			fmt.Fprintln(stderr, "fleetsim:", err)
-			return 1
+		metrics, err = sprinting.RunFleetSweep(ctx, specs, *workers)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "fleetsim:", err)
+		return 1
+	}
+	if tr != nil {
+		if code := writeTrace(*tracePath, tr, stderr); code != 0 {
+			return code
 		}
 	}
 	if *memProfile != "" {
@@ -766,14 +704,35 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
-	if len(metrics) > 0 && metrics[0].ApproxQuantiles {
+
+	switch {
+	case tmpl.Scenario != nil:
+		printScenarioHeader(stdout, *scenarioPath, *tmpl.Scenario, len(metrics[0].Nodes))
+	case tmpl.Replay != nil:
+		fmt.Fprintf(stdout, "replay %s: %d recorded arrivals, %d nodes (seed %d)\n\n",
+			*replayPath, len(tmpl.Replay), *nodes, *seed)
+	case tmpl.Workload != nil:
+		fmt.Fprintf(stdout, "workload %s: %d classes, %d tenants, %d nodes (seed %d)\n\n",
+			*workloadPath, len(tmpl.Workload.Classes), len(tmpl.Workload.Tenants), *nodes, *seed)
+	default:
+		fmt.Fprintf(stdout, "fleet: %d nodes, %d requests at %.2f req/s (mean work %.1f s, seed %d)\n\n",
+			*nodes, *requests, specs[0].Config.EffectiveRatePerS(), *work, *seed)
+	}
+	if metrics[0].ApproxQuantiles {
 		fmt.Fprintln(stdout, "quantiles: streaming log-scale histogram (within 1.81%; mean/max exact) — use -exact-quantiles to buffer")
 	}
-
-	printRunTable(stdout, rackMode, metrics)
-	if rackMode {
-		fmt.Fprintln(stdout, "\nuncoordinated sprints can trip the rack breaker; token permits make trips impossible by construction")
+	if tmpl.Scenario != nil {
+		printScenarioReport(stdout, metrics)
 	} else {
+		printRunTable(stdout, rackMode, metrics)
+	}
+	switch {
+	case tmpl.Scenario != nil:
+		fmt.Fprintln(stdout, "\nphases attribute requests to their arrival window; sprint-aware dispatch rides a flash crowd on remaining thermal headroom")
+	case ownsLoad: // replay and workload reports end with the table
+	case rackMode:
+		fmt.Fprintln(stdout, "\nuncoordinated sprints can trip the rack breaker; token permits make trips impossible by construction")
+	default:
 		fmt.Fprintln(stdout, "\nsprint-aware dispatch routes on thermal headroom; hedging trades duplicated energy for tail latency")
 	}
 	if tr != nil && *traceSummary {

@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"sprinting"
 )
 
 // runOut drives the command and returns (stdout, exit code).
@@ -47,19 +51,27 @@ func TestAllPoliciesListed(t *testing.T) {
 // TestWorkerCountDoesNotChangeOutput is the binary-level determinism
 // guarantee: simulations are pure functions of their configs and the
 // engine returns results in config order, so serial and parallel sweeps
-// render byte-identical reports.
+// render byte-identical reports — for synthetic arrivals and for every
+// input file that owns the load.
 func TestWorkerCountDoesNotChangeOutput(t *testing.T) {
-	args := []string{"-nodes", "32", "-requests", "3000", "-seed", "9"}
-	serial, code := runOut(t, append(args, "-workers", "1")...)
-	if code != 0 {
-		t.Fatalf("serial exit %d", code)
-	}
-	wide, code := runOut(t, append(args, "-workers", "8")...)
-	if code != 0 {
-		t.Fatalf("wide exit %d", code)
-	}
-	if serial != wide {
-		t.Errorf("workers=1 and workers=8 differ:\n--- serial ---\n%s\n--- wide ---\n%s", serial, wide)
+	sp := writeScenario(t, flashScenario)
+	wp := writeWorkload(t)
+	for _, args := range [][]string{
+		{"-nodes", "32", "-requests", "3000", "-seed", "9"},
+		{"-nodes", "4", "-workload", wp, "-seed", "9"},
+		{"-workload", wp, "-scenario", sp, "-coordination", "all", "-seed", "9"},
+	} {
+		serial, code := runOut(t, append(args, "-workers", "1")...)
+		if code != 0 {
+			t.Fatalf("%v: serial exit %d", args, code)
+		}
+		wide, code := runOut(t, append(args, "-workers", "8")...)
+		if code != 0 {
+			t.Fatalf("%v: wide exit %d", args, code)
+		}
+		if serial != wide {
+			t.Errorf("%v: workers=1 and workers=8 differ:\n--- serial ---\n%s\n--- wide ---\n%s", args, serial, wide)
+		}
 	}
 }
 
@@ -158,25 +170,49 @@ func TestHedgeSuppressionReported(t *testing.T) {
 	}
 }
 
-// TestProfileFlags exercises -cpuprofile/-memprofile: both files must be
-// created non-empty and the run must still succeed.
+// TestProfileFlags exercises -cpuprofile/-memprofile in every mode: both
+// files must be created non-empty and the run must still succeed.
 func TestProfileFlags(t *testing.T) {
-	dir := t.TempDir()
-	cpu := filepath.Join(dir, "cpu.pprof")
-	mem := filepath.Join(dir, "mem.pprof")
-	_, code := runOut(t, "-nodes", "4", "-requests", "500", "-policy", "least-loaded",
-		"-cpuprofile", cpu, "-memprofile", mem)
-	if code != 0 {
-		t.Fatalf("exit %d", code)
+	sp := writeScenario(t, flashScenario)
+	wp := writeWorkload(t)
+	var rows strings.Builder
+	rows.WriteString("arrival_s,work_s\n")
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&rows, "%g,%g\n", 0.5*float64(i), 1+float64(i%3))
 	}
-	for _, p := range []string{cpu, mem} {
-		st, err := os.Stat(p)
-		if err != nil {
-			t.Fatalf("profile %s missing: %v", p, err)
-		}
-		if st.Size() == 0 {
-			t.Errorf("profile %s is empty", p)
-		}
+	tp := filepath.Join(t.TempDir(), "trace.csv")
+	if err := os.WriteFile(tp, []byte(rows.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []struct {
+		name string
+		args []string
+	}{
+		{"synthetic", []string{"-nodes", "4", "-requests", "500"}},
+		{"scenario", []string{"-scenario", sp}},
+		{"workload", []string{"-nodes", "4", "-workload", wp}},
+		{"workload+scenario", []string{"-workload", wp, "-scenario", sp}},
+		{"replay", []string{"-nodes", "4", "-replay", tp, "-coordination", "none"}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cpu := filepath.Join(dir, "cpu.pprof")
+			mem := filepath.Join(dir, "mem.pprof")
+			_, code := runOut(t, append(mode.args, "-policy", "least-loaded",
+				"-cpuprofile", cpu, "-memprofile", mem)...)
+			if code != 0 {
+				t.Fatalf("exit %d", code)
+			}
+			for _, p := range []string{cpu, mem} {
+				st, err := os.Stat(p)
+				if err != nil {
+					t.Fatalf("profile %s missing: %v", p, err)
+				}
+				if st.Size() == 0 {
+					t.Errorf("profile %s is empty", p)
+				}
+			}
+		})
 	}
 }
 
@@ -229,6 +265,16 @@ func TestIncoherentFlagCombinationsRejected(t *testing.T) {
 			t.Errorf("%v: want exit 0, got %d (stderr: %s)", args, code, errb.String())
 		}
 	}
+}
+
+// writeWorkload drops the tinyWorkload spec file for the CLI tests.
+func writeWorkload(t *testing.T) string {
+	t.Helper()
+	p := filepath.Join(t.TempDir(), "w.json")
+	if err := os.WriteFile(p, []byte(tinyWorkload), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // writeScenario drops a scenario file for the CLI tests.
@@ -475,6 +521,80 @@ func TestTraceUnwritablePathFails(t *testing.T) {
 	}
 }
 
+// TestTraceReplayAndWorkload: -trace composes with -replay and -workload.
+// The recorder observes, never steers, so each traced report is the
+// untraced one byte for byte, and a traced replay's recording converts
+// back to exactly the rows it replayed.
+func TestTraceReplayAndWorkload(t *testing.T) {
+	dir := t.TempDir()
+	rec := filepath.Join(dir, "rec.jsonl")
+	if _, code := runOut(t, "-nodes", "4", "-requests", "400", "-policy", "sprint-aware",
+		"-trace", rec); code != 0 {
+		t.Fatalf("record exit %d", code)
+	}
+	rows := filepath.Join(dir, "rows.csv")
+	if _, code := runOut(t, "-convert-trace", rec, "-replay-out", rows); code != 0 {
+		t.Fatalf("convert exit %d", code)
+	}
+
+	replay := []string{"-nodes", "4", "-policy", "sprint-aware", "-coordination", "none", "-replay", rows}
+	plain, code := runOut(t, replay...)
+	if code != 0 {
+		t.Fatalf("replay exit %d", code)
+	}
+	replayRec := filepath.Join(dir, "replay.jsonl")
+	traced, code := runOut(t, append(replay, "-trace", replayRec)...)
+	if code != 0 {
+		t.Fatalf("traced replay exit %d", code)
+	}
+	if traced != plain {
+		t.Errorf("traced replay report differs from the untraced one:\n%s\n---\n%s", traced, plain)
+	}
+	back := filepath.Join(dir, "back.csv")
+	if _, code := runOut(t, "-convert-trace", replayRec, "-replay-out", back); code != 0 {
+		t.Fatalf("convert of the replay recording exit %d", code)
+	}
+	if want, got := readRows(t, rows), readRows(t, back); !reflect.DeepEqual(got, want) {
+		t.Errorf("replay recording converts to %d rows that differ from the %d replayed", len(got), len(want))
+	}
+
+	workload := []string{"-nodes", "4", "-policy", "sprint-aware", "-workload", writeWorkload(t)}
+	plain, code = runOut(t, workload...)
+	if code != 0 {
+		t.Fatalf("workload exit %d", code)
+	}
+	workloadRec := filepath.Join(dir, "workload.jsonl")
+	traced, code = runOut(t, append(workload, "-trace", workloadRec, "-trace-level", "full")...)
+	if code != 0 {
+		t.Fatalf("traced workload exit %d", code)
+	}
+	if traced != plain {
+		t.Errorf("traced workload report differs from the untraced one:\n%s\n---\n%s", traced, plain)
+	}
+	data, err := os.ReadFile(workloadRec)
+	if err != nil {
+		t.Fatalf("workload recording missing: %v", err)
+	}
+	if !bytes.HasPrefix(data, []byte(`{"t":"meta"`)) || bytes.Count(data, []byte("\n")) < 2 {
+		t.Errorf("workload recording is not a meta header plus records: %.80s", data)
+	}
+}
+
+// readRows parses a request-trace file.
+func readRows(t *testing.T, path string) []sprinting.TraceRequest {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rows, err := sprinting.ParseRequestTrace(f)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return rows
+}
+
 // TestReplayWorkloadFlagCoherence: replay and workload runs own their
 // load profile, so load-shaping flags, multi-run sweeps, and each other
 // are rejected up front with exit 2; -convert-trace and -replay-out are
@@ -571,10 +691,7 @@ const tinyWorkload = `{
 // spec, and the report carries a per-class block with SLO attainment and
 // the fairness line.
 func TestWorkloadMode(t *testing.T) {
-	p := filepath.Join(t.TempDir(), "w.json")
-	if err := os.WriteFile(p, []byte(tinyWorkload), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	p := writeWorkload(t)
 	out, code := runOut(t, "-nodes", "4", "-policy", "sprint-aware", "-workload", p)
 	if code != 0 {
 		t.Fatalf("exit %d:\n%s", code, out)
@@ -600,10 +717,7 @@ func TestWorkloadMode(t *testing.T) {
 // block.
 func TestWorkloadScenarioMode(t *testing.T) {
 	sp := writeScenario(t, flashScenario)
-	wp := filepath.Join(t.TempDir(), "w.json")
-	if err := os.WriteFile(wp, []byte(tinyWorkload), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	wp := writeWorkload(t)
 	out, code := runOut(t, "-scenario", sp, "-workload", wp,
 		"-policy", "sprint-aware", "-coordination", "token-permit")
 	if code != 0 {

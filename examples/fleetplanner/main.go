@@ -19,6 +19,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,6 +34,7 @@ func main() {
 	)
 	fleetSizes := []int{8, 10, 12, 14, 16, 20}
 	policies := []sprinting.FleetPolicy{sprinting.FleetRoundRobin, sprinting.FleetSprintAware}
+	ctx := context.Background()
 
 	fmt.Printf("demand: %.1f req/s of %.1f s bursts; SLO: p99 ≤ %.2f s\n\n", rateRPS, meanWorkS, sloP99S)
 	fmt.Printf("%-8s", "nodes")
@@ -43,16 +45,16 @@ func main() {
 
 	smallest := map[sprinting.FleetPolicy]int{}
 	for _, nodes := range fleetSizes {
-		var cfgs []sprinting.FleetConfig
+		var specs []sprinting.FleetSpec
 		for _, p := range policies {
 			cfg := sprinting.DefaultFleetConfig(p)
 			cfg.Nodes = nodes
 			cfg.Requests = 4000
 			cfg.ArrivalRatePerS = rateRPS
 			cfg.MeanWorkS = meanWorkS
-			cfgs = append(cfgs, cfg)
+			specs = append(specs, sprinting.FleetSpec{Config: cfg})
 		}
-		metrics, err := sprinting.SimulateFleetSweep(cfgs, 0)
+		metrics, err := sprinting.RunFleetSweep(ctx, specs, 0)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -85,7 +87,7 @@ func main() {
 	const rackNodes = 16
 	fmt.Printf("\nrack check: %d nodes on one circuit, overloaded 20%% past sustained capacity\n\n", rackNodes)
 	fmt.Printf("%-14s %9s %7s %13s %12s\n", "coordination", "p99 (s)", "trips", "throttled (s)", "denied %")
-	var rackCfgs []sprinting.FleetConfig
+	var rackSpecs []sprinting.FleetSpec
 	for _, c := range sprinting.RackCoordinations() {
 		cfg := sprinting.DefaultFleetConfig(sprinting.FleetSprintAware)
 		cfg.Nodes = rackNodes
@@ -95,9 +97,9 @@ func main() {
 		cfg.Coordination = c
 		cfg.RackSize = rackNodes
 		cfg.RackPowerBudgetW = sprinting.RackBudgetW(rackNodes, 1, cfg.Node)
-		rackCfgs = append(rackCfgs, cfg)
+		rackSpecs = append(rackSpecs, sprinting.FleetSpec{Config: cfg})
 	}
-	rackMetrics, err := sprinting.SimulateFleetSweep(rackCfgs, 0)
+	rackMetrics, err := sprinting.RunFleetSweep(ctx, rackSpecs, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -123,14 +125,14 @@ func main() {
 	}
 	fmt.Printf("\nflash-crowd check: %d nodes, %.1f→%.1f req/s surge with node churn\n\n", 16, 0.8*rateRPS, 1.5*rateRPS)
 	fmt.Printf("%-14s %11s %11s %13s %9s %8s\n", "policy", "steady p99", "surge p99", "recovery p99", "failures", "redisp")
-	var scs []sprinting.ScenarioConfig
+	var scenSpecs []sprinting.FleetSpec
 	for _, p := range policies {
 		cfg := sprinting.DefaultFleetConfig(p)
 		cfg.Nodes = 16
 		cfg.MeanWorkS = meanWorkS
-		scs = append(scs, sprinting.ScenarioConfig{Fleet: cfg, Scenario: scenario})
+		scenSpecs = append(scenSpecs, sprinting.FleetSpec{Config: cfg, Scenario: &scenario})
 	}
-	scenMetrics, err := sprinting.SimulateScenarioSweep(scs, 0)
+	scenMetrics, err := sprinting.RunFleetSweep(ctx, scenSpecs, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -519,7 +519,7 @@ type Metrics struct {
 	// Racks is the per-rack breakdown.
 	Racks []RackStats
 
-	// Scenario outcome (SimulateScenario only; otherwise zero/nil).
+	// Scenario outcome (Spec.Scenario runs only; otherwise zero/nil).
 	// NodeFailures and NodeRecoveries count churn events; Redispatches
 	// counts request copies failed over from a dead node to a live one
 	// (an orphaned copy that finds no queue space anywhere is a Dropped).

@@ -104,8 +104,8 @@ type NodeClass struct {
 	// Name labels the class.
 	Name string `json:"name"`
 	// Count is the number of nodes of this class; the class counts must
-	// sum to the fleet size (SimulateScenario derives Config.Nodes from
-	// them when classes are declared).
+	// sum to the fleet size (a Spec.Scenario run derives Config.Nodes
+	// from them when classes are declared).
 	Count int `json:"count"`
 	// SprintPowerW / NominalPowerW override the per-node powers
 	// (0 = the base Config.Node values).
@@ -385,7 +385,8 @@ func buildClasses(cfg Config, sc Scenario) ([]nodeClass, []int32) {
 }
 
 // phaseAcc accumulates one phase's outcome; latencies stream into a
-// histogram exactly when the whole run does (see SimulateScenario).
+// histogram exactly when the whole Spec.Scenario run does (see
+// Config.ExactQuantiles).
 type phaseAcc struct {
 	offered, completed, dropped     int
 	served, denials                 int

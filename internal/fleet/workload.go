@@ -369,16 +369,16 @@ type TenantSpec struct {
 type WorkloadSpec struct {
 	// Classes declares the SLO classes (1 to 128, required).
 	Classes []SLOClass `json:"classes"`
-	// Tenants declares the client populations (required for the workload
-	// entry points; must be empty for SimulateReplay, where the trace
-	// supplies the population).
+	// Tenants declares the client populations (required when the spec
+	// is the arrival source; must be empty alongside Spec.Replay, where
+	// the trace supplies the population).
 	Tenants []TenantSpec `json:"tenants,omitempty"`
 	// Discipline selects the dequeue order at a node: fifo (default),
 	// priority (lowest class Priority first), or sjf (shortest work
 	// first). Ties keep FIFO order.
 	Discipline string `json:"discipline,omitempty"`
-	// DurationS is the run length for SimulateWorkload (ignored under
-	// SimulateScenarioWorkload, where the scenario timeline governs).
+	// DurationS is the run length of a Spec.Workload run (ignored when
+	// Spec.Scenario is also set, where the scenario timeline governs).
 	DurationS float64 `json:"duration_s,omitempty"`
 	// MaxRequests caps the generated trace, overriding the scenario's cap
 	// when positive (0 inherits it).

@@ -20,7 +20,7 @@
 // for batch simulation from client code. Batch APIs also come in
 // ...Context variants that honor caller cancellation.
 //
-// Beyond the paper's single-chip evaluation, SimulateFleet scales the
+// Beyond the paper's single-chip evaluation, RunFleet scales the
 // ingredients to a datacenter: a deterministic discrete-event simulation
 // of N sprint-capable nodes — each owning a governor-managed thermal
 // budget and a bounded queue — serving open-loop traffic under
@@ -30,12 +30,13 @@
 // uncoordinated, token-permit, or probabilistic sprint coordination; see
 // cmd/fleetsim and the fleet_policy and rack_coordination experiments.
 //
-// SimulateScenario makes the fleet dynamic — the regime where sprinting
+// A FleetSpec's Scenario makes the fleet dynamic — the regime where sprinting
 // actually earns its keep: declarative load phases (flash-crowd steps,
 // diurnal sines, decaying ramps), ambient-temperature swings that
 // retarget every governor, heterogeneous node classes, and seeded node
 // failure/recovery churn, reported per phase. See FleetScenario and the
-// fleet_scenarios experiment.
+// fleet_scenarios experiment. RunFleetSweep evaluates many specs on the
+// engine pool.
 package sprinting
 
 import (
@@ -390,10 +391,21 @@ type FleetMetrics = fleet.Metrics
 // capacity.
 func DefaultFleetConfig(p FleetPolicy) FleetConfig { return fleet.DefaultConfig(p) }
 
-// SimulateFleet runs the discrete-event fleet simulation: N sprint-capable
+// FleetSpec names one fleet run: its FleetConfig plus one arrival source —
+// synthetic (the zero source: Config.Requests arrivals at
+// Config.ArrivalRatePerS), a FleetScenario's phases, a FleetWorkload's
+// tenant populations (over the scenario's timeline when both are set), or
+// recorded Replay rows. Config.Trace.Level switches the flight recorder.
+type FleetSpec = fleet.Spec
+
+// RunFleet runs the discrete-event fleet simulation: N sprint-capable
 // nodes — each owning a governor-managed thermal budget and a bounded FIFO
-// queue — serve an open-loop request stream under the configured dispatch
-// policy. The result is a pure function of the configuration.
+// queue — serve the spec's arrivals under the configured dispatch policy.
+// The recording is returned exactly when Config.Trace.Level is not
+// TraceOff (nil otherwise); the recorder observes, never steers, so the
+// metrics match the untraced run's. The result is a pure function of the
+// spec, and the context is checked periodically so very large traces can
+// be cancelled.
 //
 // The simulator is built for warehouse scale: dispatch is O(log N) per
 // arrival over an incrementally maintained index (segmented per node
@@ -403,44 +415,31 @@ func DefaultFleetConfig(p FleetPolicy) FleetConfig { return fleet.DefaultConfig(
 // FleetConfig.Workers shards a decoupled run's loop itself —
 // byte-identically at any worker count (see
 // BenchmarkFleetScaleDecoupledParallel).
-func SimulateFleet(cfg FleetConfig) (FleetMetrics, error) {
-	return SimulateFleetContext(context.Background(), cfg)
+func RunFleet(ctx context.Context, spec FleetSpec) (FleetMetrics, *FleetTrace, error) {
+	return fleet.Run(ctx, spec)
 }
 
-// SimulateFleetContext is SimulateFleet under a caller context; very large
-// traces can be cancelled mid-simulation.
-func SimulateFleetContext(ctx context.Context, cfg FleetConfig) (FleetMetrics, error) {
-	return runFleet(ctx, fleet.Spec{Config: cfg})
+// RunFleetSweep runs every spec concurrently on a bounded worker pool
+// (workers <= 0 selects GOMAXPROCS, 1 is exactly serial), returning
+// metrics in spec order. It clears each spec's trace level, so a sweep
+// never pays for a recording it would discard. Simulations are
+// deterministic, so every worker count produces identical metrics.
+func RunFleetSweep(ctx context.Context, specs []FleetSpec, workers int) ([]FleetMetrics, error) {
+	return engine.Map(ctx, specs, runUntraced, engine.Options{Workers: workers})
 }
 
-// runFleet runs one Spec untraced: the plain entry points clear the
-// recorder level, so FleetConfig.Trace is inert through them.
-func runFleet(ctx context.Context, spec fleet.Spec) (FleetMetrics, error) {
+// runUntraced runs one spec with the recorder level cleared.
+func runUntraced(ctx context.Context, spec FleetSpec) (FleetMetrics, error) {
 	spec.Config.Trace.Level = TraceOff
 	m, _, err := fleet.Run(ctx, spec)
 	return m, err
 }
 
-// runTraced runs one Spec with the flight recorder on. Calling a traced
-// entry point is the opt-in, so TraceOff is promoted to TraceDecisions.
-func runTraced(ctx context.Context, spec fleet.Spec) (FleetMetrics, *FleetTrace, error) {
-	if spec.Config.Trace.Level == TraceOff {
-		spec.Config.Trace.Level = TraceDecisions
-	}
-	return fleet.Run(ctx, spec)
-}
-
-// SimulateFleetSweep evaluates every fleet configuration concurrently on a
-// bounded worker pool (workers <= 0 selects GOMAXPROCS, 1 is exactly
-// serial), returning metrics in configuration order. Simulations are
-// deterministic, so every worker count produces identical metrics.
-func SimulateFleetSweep(cfgs []FleetConfig, workers int) ([]FleetMetrics, error) {
-	return SimulateFleetSweepContext(context.Background(), cfgs, workers)
-}
-
-// SimulateFleetSweepContext is SimulateFleetSweep under a caller context.
-func SimulateFleetSweepContext(ctx context.Context, cfgs []FleetConfig, workers int) ([]FleetMetrics, error) {
-	return engine.Map(ctx, cfgs, SimulateFleetContext, engine.Options{Workers: workers})
+// SimulateFleetContext runs one synthetic FleetConfig untraced: it clears
+// Config.Trace.Level, so a Trace set on cfg is inert. It is kept for
+// existing callers (the perfbench harness); new code calls RunFleet.
+func SimulateFleetContext(ctx context.Context, cfg FleetConfig) (FleetMetrics, error) {
+	return runUntraced(ctx, FleetSpec{Config: cfg})
 }
 
 // FleetScenario is a declarative dynamic-fleet description: load phases
@@ -492,46 +491,21 @@ const (
 type PhaseMetrics = fleet.PhaseMetrics
 
 // ScenarioConfig pairs a base fleet configuration with the scenario
-// dynamics played over it. The base Config supplies the hardware and
-// dispatch/coordination policies; the scenario supersedes Requests and
-// ArrivalRatePerS (and Nodes, when classes are declared).
+// dynamics played over it — the argument of SimulateScenarioWorkloadContext.
+// The base Config supplies the hardware and dispatch/coordination
+// policies; the scenario supersedes Requests and ArrivalRatePerS (and
+// Nodes, when classes are declared). New code sets FleetSpec.Scenario.
 type ScenarioConfig struct {
 	Fleet    FleetConfig
 	Scenario FleetScenario
 }
 
-// SimulateScenario runs the dynamic fleet simulation: the scenario's
-// phases shape the arrival rate and thermal environment over time while
-// churn fails and revives nodes, and the result adds a per-phase
-// breakdown (FleetMetrics.Phases) to the usual fleet metrics. Like
-// SimulateFleet, the outcome is a pure function of the configuration.
-func SimulateScenario(sc ScenarioConfig) (FleetMetrics, error) {
-	return runFleet(context.Background(), fleet.Spec{Config: sc.Fleet, Scenario: &sc.Scenario})
-}
-
-// SimulateScenarioSweep evaluates every scenario concurrently on a
-// bounded worker pool (workers <= 0 selects GOMAXPROCS, 1 is exactly
-// serial), returning metrics in configuration order; every worker count
-// produces identical metrics.
-func SimulateScenarioSweep(scs []ScenarioConfig, workers int) ([]FleetMetrics, error) {
-	return SimulateScenarioSweepContext(context.Background(), scs, workers)
-}
-
-// SimulateScenarioSweepContext is SimulateScenarioSweep under a caller
-// context.
-func SimulateScenarioSweepContext(ctx context.Context, scs []ScenarioConfig, workers int) ([]FleetMetrics, error) {
-	return engine.Map(ctx, scs,
-		func(ctx context.Context, sc ScenarioConfig) (FleetMetrics, error) {
-			return runFleet(ctx, fleet.Spec{Config: sc.Fleet, Scenario: &sc.Scenario})
-		}, engine.Options{Workers: workers})
-}
-
 // TraceConfig configures the fleet flight recorder: the capture level,
 // the number of rejected alternatives each dispatch decision records
 // (and counterfactually probes), and the timeline sample window. Set it
-// on FleetConfig.Trace and run through SimulateFleetTraced or
-// SimulateScenarioTraced — the plain entry points ignore it, so the
-// untraced hot path stays allocation-free.
+// on FleetConfig.Trace: RunFleet records exactly when the level is not
+// TraceOff, while RunFleetSweep and the untraced wrappers clear the
+// level, so the untraced hot path stays allocation-free.
 type TraceConfig = fleet.TraceConfig
 
 // TraceLevel selects how much the flight recorder captures.
@@ -539,9 +513,9 @@ type TraceLevel = trace.Level
 
 // Trace capture levels.
 const (
-	// TraceOff disables the recorder (the zero value); the traced entry
-	// points promote it to TraceDecisions, since calling them is the
-	// opt-in.
+	// TraceOff disables the recorder (the zero value);
+	// SimulateFleetTracedContext promotes it to TraceDecisions, since
+	// calling it is the opt-in.
 	TraceOff = trace.LevelOff
 	// TraceDecisions records every dispatch decision with its winning
 	// routing key and top-k rejected alternatives (each counterfactually
@@ -563,31 +537,15 @@ func ParseTraceLevel(s string) (TraceLevel, error) { return trace.ParseLevel(s) 
 // TopRegret to mine it in process.
 type FleetTrace = trace.Trace
 
-// SimulateFleetTraced runs SimulateFleet with the flight recorder
-// attached, returning the metrics together with the recording. The
-// metrics are identical to the untraced run's — the recorder observes,
-// never steers.
-func SimulateFleetTraced(cfg FleetConfig) (FleetMetrics, *FleetTrace, error) {
-	return SimulateFleetTracedContext(context.Background(), cfg)
-}
-
-// SimulateFleetTracedContext is SimulateFleetTraced under a caller
-// context.
+// SimulateFleetTracedContext runs one synthetic FleetConfig with the
+// flight recorder attached; calling it is the opt-in, so TraceOff is
+// promoted to TraceDecisions. It is kept for existing callers (the
+// perfbench harness); new code sets Config.Trace.Level and calls RunFleet.
 func SimulateFleetTracedContext(ctx context.Context, cfg FleetConfig) (FleetMetrics, *FleetTrace, error) {
-	return runTraced(ctx, fleet.Spec{Config: cfg})
-}
-
-// SimulateScenarioTraced runs SimulateScenario with the flight recorder
-// attached: phase boundaries annotate the timeline and churn joins the
-// event stream alongside the dispatch decisions.
-func SimulateScenarioTraced(sc ScenarioConfig) (FleetMetrics, *FleetTrace, error) {
-	return SimulateScenarioTracedContext(context.Background(), sc)
-}
-
-// SimulateScenarioTracedContext is SimulateScenarioTraced under a caller
-// context.
-func SimulateScenarioTracedContext(ctx context.Context, sc ScenarioConfig) (FleetMetrics, *FleetTrace, error) {
-	return runTraced(ctx, fleet.Spec{Config: sc.Fleet, Scenario: &sc.Scenario})
+	if cfg.Trace.Level == TraceOff {
+		cfg.Trace.Level = TraceDecisions
+	}
+	return fleet.Run(ctx, FleetSpec{Config: cfg})
 }
 
 // FleetWorkload declares a multi-tenant workload over the fleet: SLO
@@ -630,36 +588,29 @@ type TenantMetrics = fleet.TenantMetrics
 // instant, single-core work, and optional width/tenant/class labels.
 type TraceRequest = fleet.TraceRequest
 
-// SimulateWorkload runs the declared multi-tenant workload over a flat
-// timeline of FleetWorkload.DurationS seconds; like every fleet entry
-// point the result is byte-identical at any worker count.
-func SimulateWorkload(cfg FleetConfig, w FleetWorkload) (FleetMetrics, error) {
-	return SimulateWorkloadContext(context.Background(), cfg, w)
-}
-
-// SimulateWorkloadContext is SimulateWorkload under a caller context.
-func SimulateWorkloadContext(ctx context.Context, cfg FleetConfig, w FleetWorkload) (FleetMetrics, error) {
-	return runFleet(ctx, fleet.Spec{Config: cfg, Workload: &w})
-}
-
 // SimulateScenarioWorkloadContext runs the workload's tenant populations
-// through a scenario's timeline under a caller context: phase factors
-// modulate every tenant's arrival rate, while ambient shifts, churn, and
-// heterogeneous classes apply as in SimulateScenario.
+// through a scenario's timeline, untraced: phase factors modulate every
+// tenant's arrival rate, while ambient shifts, churn, and heterogeneous
+// classes apply as in any scenario run. It is kept for existing callers
+// (the perfbench harness); new code calls RunFleet with Scenario and
+// Workload set.
 func SimulateScenarioWorkloadContext(ctx context.Context, sc ScenarioConfig, w FleetWorkload) (FleetMetrics, error) {
-	return runFleet(ctx, fleet.Spec{Config: sc.Fleet, Scenario: &sc.Scenario, Workload: &w})
+	return runUntraced(ctx, FleetSpec{Config: sc.Fleet, Scenario: &sc.Scenario, Workload: &w})
 }
 
 // SimulateReplayContext replays a recorded request trace through the
-// fleet under a caller context. A non-nil spec declares the SLO classes
-// trace labels resolve against (admission and disciplines then apply);
-// without one, labeled traces get implicit accounting-only classes and a
-// fully unlabeled trace reproduces the plain engine's Metrics exactly.
+// fleet, untraced. A non-nil spec declares the SLO classes trace labels
+// resolve against (admission and disciplines then apply); without one,
+// labeled traces get implicit accounting-only classes and a fully
+// unlabeled trace reproduces the plain engine's Metrics exactly. Nil or
+// empty rows are an error, never the synthetic source. It is kept for
+// existing callers (the perfbench harness); new code calls RunFleet with
+// Replay set.
 func SimulateReplayContext(ctx context.Context, cfg FleetConfig, rows []TraceRequest, spec *FleetWorkload) (FleetMetrics, error) {
 	if rows == nil {
-		rows = []TraceRequest{} // a nil Spec.Replay would select the synthetic source
+		rows = []TraceRequest{} // a nil FleetSpec.Replay would select the synthetic source
 	}
-	return runFleet(ctx, fleet.Spec{Config: cfg, Replay: rows, Workload: spec})
+	return runUntraced(ctx, FleetSpec{Config: cfg, Replay: rows, Workload: spec})
 }
 
 // ParseRequestTrace reads a request trace in either supported encoding

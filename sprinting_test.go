@@ -3,6 +3,7 @@ package sprinting_test
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -123,9 +124,12 @@ func TestPublicFleet(t *testing.T) {
 	cfg := sprinting.DefaultFleetConfig(sprinting.FleetSprintAware)
 	cfg.Nodes = 4
 	cfg.Requests = 300
-	m, err := sprinting.SimulateFleet(cfg)
+	m, tr, err := sprinting.RunFleet(context.Background(), sprinting.FleetSpec{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if tr != nil {
+		t.Error("RunFleet at level off returned a recording")
 	}
 	if m.Completed != cfg.Requests || m.P99S <= 0 || m.TotalEnergyJ <= 0 {
 		t.Errorf("degenerate fleet metrics: %+v", m)
@@ -143,25 +147,85 @@ func TestPublicReplayNeedsRows(t *testing.T) {
 	}
 }
 
+// TestFleetEntryPointTraceLevels pins how each fleet entry point treats
+// Config.Trace.Level: the untraced wrapper clears it (a TraceFull config
+// through it records nothing and matches RunFleet at level off), the
+// traced wrapper promotes off to decisions, and a sweep clears every
+// spec's level without changing its metrics.
+func TestFleetEntryPointTraceLevels(t *testing.T) {
+	ctx := context.Background()
+	cfg := sprinting.DefaultFleetConfig(sprinting.FleetSprintAware)
+	cfg.Nodes = 8
+	cfg.Requests = 600
+	cfg.Coordination = sprinting.RackTokenPermit
+	cfg.RackSize = 4
+
+	off, tr, err := sprinting.RunFleet(ctx, sprinting.FleetSpec{Config: cfg})
+	if err != nil || tr != nil {
+		t.Fatalf("RunFleet at level off: trace %v, err %v", tr, err)
+	}
+	full := cfg
+	full.Trace = sprinting.TraceConfig{Level: sprinting.TraceFull, TopK: 3, WindowS: 5}
+	plain, err := sprinting.SimulateFleetContext(ctx, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, off) {
+		t.Errorf("SimulateFleetContext with a TraceFull config differs from RunFleet at level off:\n%+v\n%+v", plain, off)
+	}
+
+	m, tr, err := sprinting.SimulateFleetTracedContext(ctx, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr == nil || tr.Meta.Level != sprinting.TraceDecisions.String() {
+		t.Errorf("SimulateFleetTracedContext at level off: want a decisions-level trace, got %v", tr)
+	}
+	if !reflect.DeepEqual(m, off) {
+		t.Error("the traced wrapper's metrics differ from the untraced run's")
+	}
+
+	var bare, traced []sprinting.FleetSpec
+	for _, p := range sprinting.FleetPolicies() {
+		c := cfg
+		c.Policy = p
+		bare = append(bare, sprinting.FleetSpec{Config: c})
+		c.Trace = full.Trace
+		traced = append(traced, sprinting.FleetSpec{Config: c})
+	}
+	want, err := sprinting.RunFleetSweep(ctx, bare, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := sprinting.RunFleetSweep(ctx, traced, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("RunFleetSweep metrics change when the specs' trace levels are set")
+	}
+}
+
 func TestPublicFleetSweepDeterministic(t *testing.T) {
-	var cfgs []sprinting.FleetConfig
+	var specs []sprinting.FleetSpec
 	for _, p := range sprinting.FleetPolicies() {
 		cfg := sprinting.DefaultFleetConfig(p)
 		cfg.Nodes = 8
 		cfg.Requests = 800
-		cfgs = append(cfgs, cfg)
+		specs = append(specs, sprinting.FleetSpec{Config: cfg})
 	}
-	serial, err := sprinting.SimulateFleetSweep(cfgs, 1)
+	ctx := context.Background()
+	serial, err := sprinting.RunFleetSweep(ctx, specs, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := sprinting.SimulateFleetSweep(cfgs, 4)
+	wide, err := sprinting.RunFleetSweep(ctx, specs, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range serial {
 		if serial[i].P99S != wide[i].P99S || serial[i].TotalEnergyJ != wide[i].TotalEnergyJ {
-			t.Errorf("policy %s: workers=1 and workers=4 metrics differ", cfgs[i].Policy)
+			t.Errorf("policy %s: workers=1 and workers=4 metrics differ", specs[i].Config.Policy)
 		}
 	}
 	if _, err := sprinting.ParseFleetPolicy("sprint-aware"); err != nil {

@@ -3,7 +3,10 @@
 # simulation side by side across dispatch policies; `make rack` compares
 # the rack-level sprint-coordination policies on a tightly provisioned
 # shared circuit; `make scenario` plays the flash-crowd scenario across
-# every policy; `make trace` replays it with the flight recorder
+# every policy and diffs the per-phase report against the committed
+# testdata/GOLDEN_scenario.txt (refresh with `make scenario-golden`
+# after an intentional engine or report change); `make trace` replays
+# it with the flight recorder
 # attached, writing TRACE_flashcrowd.jsonl and printing the regret
 # summary; `make benchsmoke` runs every benchmark exactly once
 # (the CI guard that keeps the fleet and rack subsystems exercised,
@@ -46,7 +49,7 @@ TOLERANCE ?= 1.5
 # note instead of a false verdict.
 MIN_SPEEDUP ?= BenchmarkFleetScaleDecoupledParallel=3
 
-.PHONY: all build test bench benchsmoke bench-json bench-gate bench-baseline vet lint fuzz-smoke fleet rack scenario trace reliability tenants tenants-golden tenants-run replay replay-golden replay-run
+.PHONY: all build test bench benchsmoke bench-json bench-gate bench-baseline vet lint fuzz-smoke fleet rack scenario scenario-golden scenario-run trace reliability tenants tenants-golden tenants-run replay replay-golden replay-run
 
 all: build
 
@@ -114,8 +117,23 @@ rack:
 	$(GO) run ./cmd/fleetsim -nodes 96 -requests 20000 -policy sprint-aware \
 		-coordination all -rack-size 16 -rack-budget-w 31 -rate 57.6
 
-scenario:
-	$(GO) run ./cmd/fleetsim -scenario examples/scenarios/flashcrowd.json -policy all
+# scenario is the per-phase golden gate: the flash-crowd report — every
+# phase's offered, throughput, and latency tail under every policy —
+# must match the committed golden byte for byte.
+scenario: scenario-run
+	diff -u testdata/GOLDEN_scenario.txt SCENARIO_report.txt
+	@echo "scenario gate: report matches the golden"
+
+# scenario-golden refreshes the committed golden after an intentional
+# engine or report change.
+scenario-golden: scenario-run
+	cp SCENARIO_report.txt testdata/GOLDEN_scenario.txt
+
+# scenario-run regenerates the flash-crowd scenario report.
+scenario-run:
+	mkdir -p bin
+	$(GO) build -o bin/fleetsim ./cmd/fleetsim
+	bin/fleetsim -scenario examples/scenarios/flashcrowd.json -policy all > SCENARIO_report.txt
 
 trace:
 	$(GO) run ./cmd/fleetsim -scenario examples/scenarios/flashcrowd.json \

@@ -29,10 +29,13 @@
 //   - requests live in one per-run arena indexed by int32, and queued
 //     copies are 8-byte values, keeping the hot structures free of
 //     GC-scanned pointers;
-//   - latencies stream into a fixed-bin log-scale histogram above
-//     exactQuantileCutoff requests (exact below it, or always with
-//     Config.ExactQuantiles), so finish() never sorts a million-entry
-//     buffer. See the "Performance model" section of docs/ARCHITECTURE.md.
+//   - the event loop observes no latency at all: finish() derives every
+//     latency distribution and every per-phase, per-class, and per-tenant
+//     count from one walk over the arena (see cohort.go), streaming into
+//     a fixed-bin log-scale histogram above exactQuantileCutoff requests
+//     (exact below it, or always with Config.ExactQuantiles), so it never
+//     sorts a million-entry buffer. See the "Performance model" section of
+//     docs/ARCHITECTURE.md.
 //
 // Each node serves like the session evaluator's governed policy: a request
 // runs at full sprint width while the node's thermal budget lasts, then
@@ -61,10 +64,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"sprinting/internal/governor"
-	"sprinting/internal/series"
 	"sprinting/internal/session"
 	"sprinting/internal/trace"
 )
@@ -714,11 +715,8 @@ type sim struct {
 	// shard.go).
 	cuts []int
 
-	// latencies buffers completions for exact quantiles; hist streams
-	// them instead above exactQuantileCutoff (see finish).
-	latencies []float64
-	hist      *series.Histogram
-	m         Metrics
+	// m accumulates the event counters; finish() completes it.
+	m Metrics
 
 	// rec is the flight recorder, nil unless Config.Trace.Level is on;
 	// every hook in the engine is a nil check on it and the recorder only
@@ -813,11 +811,6 @@ func newSim(src source, rec *recorder) *sim {
 				s.m.GrayNodes++
 			}
 		}
-	}
-	if cfg.ExactQuantiles || cfg.Requests <= exactQuantileCutoff {
-		s.latencies = make([]float64, 0, cfg.Requests)
-	} else {
-		s.hist = series.NewHistogram()
 	}
 	if cfg.Coordination != NoCoordination {
 		nRacks := (cfg.Nodes + cfg.RackSize - 1) / cfg.RackSize
@@ -1058,9 +1051,6 @@ func (s *sim) drop(ri int32, n *node) {
 	if n != nil {
 		n.stats.Dropped++
 	}
-	if s.scen != nil {
-		s.scen.acc[r.phase].dropped++
-	}
 }
 
 // dispatch routes a fresh arrival to the policy-chosen node.
@@ -1076,9 +1066,6 @@ func (s *sim) dispatch(ri int32) {
 		s.m.Shed++
 		s.m.AdmissionShed++
 		s.wl.acc[r.slo].admShed++
-		if s.scen != nil {
-			s.scen.acc[r.phase].shed++
-		}
 		return
 	}
 	rr0 := s.rr
@@ -1411,18 +1398,7 @@ func (s *sim) complete(n *node) {
 		r := &s.reqs[c.req]
 		r.doneS = s.nowS
 		lat := s.nowS - r.arrivalS
-		if s.hist != nil {
-			s.hist.Observe(lat)
-		} else {
-			s.latencies = append(s.latencies, lat)
-		}
 		s.m.Completed++
-		if s.scen != nil {
-			s.scen.acc[r.phase].observe(lat)
-		}
-		if s.wl != nil {
-			s.wl.observe(r.slo, lat)
-		}
 		if c.hedge {
 			s.m.HedgeWins++
 		}
@@ -1731,9 +1707,9 @@ func (s *sim) refSelect(workS float64, exclude, start int) *node {
 }
 
 // finish assembles the metrics. Every float it reports is reduced in a
-// canonical order — latency mean over the request arena in arena order,
-// energy and throttled time in node/rack order — never in event-
-// completion order, so the sequential and sharded engines produce
+// canonical order — latencies over the request arena in arena order (see
+// settleCohorts), energy and throttled time in node/rack order — never in
+// event-completion order, so the sequential and sharded engines produce
 // bit-identical sums even where float addition does not commute.
 func (s *sim) finish() Metrics {
 	if s.rec != nil {
@@ -1743,39 +1719,10 @@ func (s *sim) finish() Metrics {
 	}
 	m := s.m
 	m.SimS = s.lastDoneS
-	// The latency mean is summed over the arena rather than the
-	// histogram/buffer: completion order differs across engines (and the
-	// exact path historically summed after sorting), while arena order is
-	// the arrival trace — a pure function of the configuration.
-	sum, cnt := 0.0, 0
-	for i := range s.reqs {
-		if r := &s.reqs[i]; r.doneS >= 0 {
-			sum += r.doneS - r.arrivalS
-			cnt++
-		}
-	}
-	if cnt > 0 {
-		m.MeanS = sum / float64(cnt)
-	}
-	if s.hist != nil {
-		m.ApproxQuantiles = true
-		if s.hist.Count() > 0 {
-			m.P50S = s.hist.Quantile(0.50)
-			m.P95S = s.hist.Quantile(0.95)
-			m.P99S = s.hist.Quantile(0.99)
-			m.P999S = s.hist.Quantile(0.999)
-			m.MaxS = s.hist.Max()
-		}
-	} else {
-		sort.Float64s(s.latencies)
-		if n := len(s.latencies); n > 0 {
-			m.P50S = series.Quantile(s.latencies, 0.50)
-			m.P95S = series.Quantile(s.latencies, 0.95)
-			m.P99S = series.Quantile(s.latencies, 0.99)
-			m.P999S = series.Quantile(s.latencies, 0.999)
-			m.MaxS = s.latencies[n-1]
-		}
-	}
+	co := s.settleCohorts()
+	m.MeanS = co.fleet.meanS()
+	m.P50S, m.P95S, m.P99S, m.P999S, m.MaxS = co.fleet.quantiles()
+	m.ApproxQuantiles = co.fleet.hist != nil
 	if m.SimS > 0 {
 		// Throughput counts every service that delivered a response,
 		// useful or not; goodput only the client-useful ones. With the
@@ -1837,12 +1784,10 @@ func (s *sim) finish() Metrics {
 		m.EnergyPerRequestJ = m.TotalEnergyJ / float64(m.Completed)
 	}
 	if s.scen != nil {
-		m.Phases = s.scen.phaseMetrics()
+		m.Phases = s.scen.phaseMetrics(co.phases)
 	}
 	if s.wl != nil {
-		// The arena is still live here; assemble derives every per-class
-		// and per-tenant figure from it in arena order.
-		s.wl.assemble(s, &m)
+		s.wl.assemble(&m, co)
 	}
 	return m
 }

@@ -59,6 +59,49 @@ func TestSimulateSteadyStateAllocations(t *testing.T) {
 				p, traceOff, large)
 		}
 	}
+
+	// The cohort path: a scenario+workload run settles phase, class, and
+	// tenant cohorts in finish(), and its exact-mode buffers are sized
+	// from the cohort counts — so 5× the timeline must stay within the
+	// same slack; a cohort buffer grown per request would blow it.
+	cohortSpec := func(scale float64) Spec {
+		cfg := DefaultConfig(SprintAware)
+		cfg.Nodes = 16
+		cfg.Seed = 3
+		sc := Scenario{Phases: []Phase{
+			{Name: "baseline", DurationS: 200 * scale, StartFactor: 0.7},
+			{Name: "surge", DurationS: 100 * scale, StartFactor: 1.5},
+		}}
+		w := WorkloadSpec{
+			Classes: []SLOClass{{Name: "interactive", TargetP99S: 1}, {Name: "batch", Priority: 1}},
+			Tenants: []TenantSpec{
+				{Name: "search", Class: "interactive", Arrival: ArrivalSpec{RatePerS: 4}, Work: WorkSpec{MeanS: 1.5}},
+				{Name: "analytics", Class: "batch", Arrival: ArrivalSpec{RatePerS: 2}, Work: WorkSpec{MeanS: 3}},
+			},
+		}
+		return Spec{Config: cfg, Scenario: &sc, Workload: &w}
+	}
+	var small, large Metrics
+	smallAllocs := testing.AllocsPerRun(3, func() {
+		var err error
+		if small, _, err = Run(ctx, cohortSpec(1)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	largeAllocs := testing.AllocsPerRun(3, func() {
+		var err error
+		if large, _, err = Run(ctx, cohortSpec(5)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if large.Requests < 4*small.Requests || large.ApproxQuantiles {
+		t.Fatalf("cohort inputs do not scale in exact mode: %d → %d requests (approx %v)",
+			small.Requests, large.Requests, large.ApproxQuantiles)
+	}
+	if delta := largeAllocs - smallAllocs; delta > 32 {
+		t.Errorf("scenario+workload: 5× the timeline cost %.0f extra allocations (%.0f → %.0f); a cohort path is allocating per request",
+			delta, smallAllocs, largeAllocs)
+	}
 }
 
 // TestHedgeSuppressionCounted pins the silent-hedge bugfix: under

@@ -28,10 +28,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"sprinting/internal/governor"
-	"sprinting/internal/series"
 	"sprinting/internal/trace"
 )
 
@@ -384,25 +382,14 @@ func buildClasses(cfg Config, sc Scenario) ([]nodeClass, []int32) {
 	return classes, idx
 }
 
-// phaseAcc accumulates one phase's outcome; latencies stream into a
-// histogram exactly when the whole Spec.Scenario run does (see
-// Config.ExactQuantiles).
+// phaseAcc counts one phase's events as they fire: services and their
+// denials, failovers, churn failures, trips, retries, and faults. The
+// arrival cohort's terminal states and latencies are not events; finish()
+// settles them from the arena (see cohort.go).
 type phaseAcc struct {
-	offered, completed, dropped     int
-	served, denials                 int
-	redispatches, failures, trips   int
-	timedOut, shed, retries, faults int
-	lat                             []float64
-	hist                            *series.Histogram
-}
-
-func (a *phaseAcc) observe(lat float64) {
-	a.completed++
-	if a.hist != nil {
-		a.hist.Observe(lat)
-	} else {
-		a.lat = append(a.lat, lat)
-	}
+	served, denials               int
+	redispatches, failures, trips int
+	retries, faults               int
 }
 
 // PhaseMetrics is one scenario phase's slice of the outcome. Counts are
@@ -469,54 +456,45 @@ type scenarioRun struct {
 	orphans      []reqCopy // reusable failure-handling scratch
 }
 
-// phaseMetrics assembles the per-phase breakdown after the run drains.
-func (sc *scenarioRun) phaseMetrics() []PhaseMetrics {
+// phaseMetrics assembles the per-phase breakdown after the run drains
+// from the phases' event counters and their settled arrival cohorts.
+func (sc *scenarioRun) phaseMetrics(cohorts []cohort) []PhaseMetrics {
 	out := make([]PhaseMetrics, len(sc.spec.Phases))
 	start := 0.0
 	for i := range out {
 		p := sc.spec.Phases[i]
-		a := &sc.acc[i]
+		a, c := &sc.acc[i], &cohorts[i]
 		pm := PhaseMetrics{
 			Name:         p.Name,
 			StartS:       start,
 			EndS:         start + p.DurationS,
-			Offered:      a.offered,
-			Completed:    a.completed,
-			Dropped:      a.dropped,
+			Offered:      c.offered,
+			Completed:    c.completed,
+			Dropped:      c.dropped,
 			Redispatches: a.redispatches,
 			NodeFailures: a.failures,
 			BreakerTrips: a.trips,
 
-			TimedOut:        a.timedOut,
-			Shed:            a.shed,
+			TimedOut:        c.timedOut,
+			Shed:            c.shed,
 			Retries:         a.retries,
 			TransientFaults: a.faults,
 		}
-		if a.offered > 0 {
-			pm.ShedRate = float64(a.shed) / float64(a.offered)
+		if c.offered > 0 {
+			pm.ShedRate = float64(c.shed) / float64(c.offered)
 		}
-		pm.ThroughputRPS = float64(a.completed) / p.DurationS
-		switch {
-		case a.hist != nil && a.hist.Count() > 0:
-			pm.MeanS = a.hist.Mean()
-			pm.P50S = a.hist.Quantile(0.50)
-			pm.P95S = a.hist.Quantile(0.95)
-			pm.P99S = a.hist.Quantile(0.99)
-			pm.P999S = a.hist.Quantile(0.999)
-			pm.MaxS = a.hist.Max()
-		case len(a.lat) > 0:
-			sort.Float64s(a.lat)
+		pm.ThroughputRPS = float64(c.completed) / p.DurationS
+		pm.MeanS = c.meanS()
+		if c.hist == nil && len(c.lat) > 0 {
+			// An exact-mode phase mean sums the sorted buffer, not the
+			// arena: the perfbench digests pin that order.
 			sum := 0.0
-			for _, l := range a.lat {
+			for _, l := range c.lat {
 				sum += l
 			}
-			pm.MeanS = sum / float64(len(a.lat))
-			pm.P50S = series.Quantile(a.lat, 0.50)
-			pm.P95S = series.Quantile(a.lat, 0.95)
-			pm.P99S = series.Quantile(a.lat, 0.99)
-			pm.P999S = series.Quantile(a.lat, 0.999)
-			pm.MaxS = a.lat[len(a.lat)-1]
+			pm.MeanS = sum / float64(len(c.lat))
 		}
+		pm.P50S, pm.P95S, pm.P99S, pm.P999S, pm.MaxS = c.quantiles()
 		if a.served > 0 {
 			pm.SprintDenialRate = float64(a.denials) / float64(a.served)
 		}
@@ -543,21 +521,20 @@ func clampF(v, lo, hi float64) float64 {
 // generator's clamping conventions, from a dedicated seeded stream. The
 // trace is built in a pooled arena (the caller returns it after the
 // run), so sweep drivers reuse one allocation across sweep points.
-func (sc Scenario) generate(cfg Config, baseRate float64) (reqs []request, offered []int, truncated bool) {
+func (sc Scenario) generate(cfg Config, baseRate float64) (reqs []request, truncated bool) {
 	reqs = getArena(0)
 	rng := rand.New(rand.NewSource(cfg.Seed ^ scenarioSeed))
 	totalS := 0.0
 	for _, p := range sc.Phases {
 		totalS += p.DurationS
 	}
-	offered = make([]int, len(sc.Phases))
 	t, pi, pStart := 0.0, 0, 0.0
 	for {
 		if len(reqs) >= sc.MaxRequests {
 			// Out of budget before the timeline ended: the caller turns
 			// this into a loud error rather than reporting trailing
 			// phases as mysteriously idle.
-			return reqs, offered, true
+			return reqs, true
 		}
 		mean := 1 / (baseRate * sc.Phases[pi].factor(t-pStart))
 		t += clampF(rng.ExpFloat64()*mean, math.Min(0.1, mean/8), mean*8)
@@ -566,11 +543,10 @@ func (sc Scenario) generate(cfg Config, baseRate float64) (reqs []request, offer
 			pi++
 		}
 		if t >= totalS {
-			return reqs, offered, false
+			return reqs, false
 		}
 		w := clampF(rng.ExpFloat64()*cfg.MeanWorkS, cfg.MeanWorkS/8, cfg.MeanWorkS*6)
 		reqs = append(reqs, request{arrivalS: t, workS: w, doneS: -1, firstNode: -1, phase: int16(pi)})
-		offered[pi]++
 	}
 }
 
@@ -601,7 +577,6 @@ func scenarioSource(cfg Config, sc Scenario, wspec *WorkloadSpec) (source, error
 	}
 	var (
 		src       source
-		offered   []int
 		truncated bool
 	)
 	if wspec != nil {
@@ -609,7 +584,7 @@ func scenarioSource(cfg Config, sc Scenario, wspec *WorkloadSpec) (source, error
 		if w.MaxRequests > 0 {
 			maxReqs = w.MaxRequests
 		}
-		src.reqs, offered, truncated = w.generate(cfg, sc, maxReqs)
+		src.reqs, truncated = w.generate(cfg, sc, maxReqs)
 		if truncated {
 			return src, fmt.Errorf("fleet: workload exceeds its %d-request cap before the timeline ends; raise MaxRequests or lower tenant rates", maxReqs)
 		}
@@ -621,7 +596,7 @@ func scenarioSource(cfg Config, sc Scenario, wspec *WorkloadSpec) (source, error
 		if baseRate <= 0 {
 			baseRate = cfg.EffectiveRatePerS()
 		}
-		src.reqs, offered, truncated = sc.generate(cfg, baseRate)
+		src.reqs, truncated = sc.generate(cfg, baseRate)
 		if truncated {
 			return src, fmt.Errorf("fleet: scenario exceeds its %d-request cap before the timeline ends (base rate %.3g req/s); raise MaxRequests or lower the rate", sc.MaxRequests, baseRate)
 		}
@@ -638,19 +613,12 @@ func scenarioSource(cfg Config, sc Scenario, wspec *WorkloadSpec) (source, error
 	run := &scenarioRun{spec: sc, cur: 0, ambientC: sc.Phases[0].AmbientDeltaC}
 	run.classes, run.classIdx = buildClasses(cfg, sc)
 	run.acc = make([]phaseAcc, len(sc.Phases))
-	streaming := !cfg.ExactQuantiles && cfg.Requests > exactQuantileCutoff
-	for i := range run.acc {
-		run.acc[i].offered = offered[i]
-		if streaming {
-			run.acc[i].hist = series.NewHistogram()
-		}
-	}
 	for _, p := range sc.Phases {
 		run.endS += p.DurationS
 	}
 	src.scen = run
 	if wspec != nil {
-		src.wl = newWorkloadRun(w, streaming)
+		src.wl = newWorkloadRun(w)
 	}
 	return src, nil
 }

@@ -13,9 +13,9 @@
 // arrival-cursor/event-heap loop over its node range on its own
 // goroutine, with a strided cursor selecting the arrivals it owns, and
 // the parent merges the results: integer counters add, SimS is the max
-// completion instant, latencies reduce through series.Histogram.Merge
-// (or buffer concatenation — finish sorts), and every remaining float
-// is already reduced in canonical arena/node/rack order by finish().
+// completion instant, and every float — every latency figure included —
+// is reduced afterwards by finish() in canonical arena/node/rack order,
+// over the shared arena the workers wrote their completions into.
 // This is the engine the ≥3× speedup gate measures.
 //
 // Every coupled configuration — least-loaded, sprint-aware, and hedged
@@ -38,8 +38,6 @@ import (
 	"context"
 	"math"
 	"sync"
-
-	"sprinting/internal/series"
 )
 
 // dspSeg is one dispatch-index segment: the tournament trees over the
@@ -235,11 +233,6 @@ func (s *sim) runParallel(ctx context.Context) (Metrics, error) {
 		sub.reqs = s.reqs
 		sub.m.Policy = s.cfg.Policy
 		nlo, nhi := s.cuts[k], s.cuts[k+1]
-		if s.hist != nil {
-			sub.hist = series.NewHistogram()
-		} else {
-			sub.latencies = make([]float64, 0, len(s.reqs)/w+64)
-		}
 		// Pre-size the heap for its steady state (a completion and sprint
 		// end per busy node, trip bookkeeping per rack) so the worker loop
 		// never reallocates it.
@@ -266,13 +259,6 @@ func (s *sim) runParallel(ctx context.Context) (Metrics, error) {
 		s.m.PermitDenials += sub.m.PermitDenials
 		if sub.lastDoneS > s.lastDoneS {
 			s.lastDoneS = sub.lastDoneS
-		}
-		if s.hist != nil {
-			s.hist.Merge(sub.hist)
-		} else {
-			// Concatenation order is irrelevant: finish() sorts before
-			// computing quantiles, and the mean reduces over the arena.
-			s.latencies = append(s.latencies, sub.latencies...)
 		}
 	}
 	return s.finish(), nil

@@ -124,9 +124,9 @@ func TestShardedHeterogeneousMatchesReference(t *testing.T) {
 }
 
 // TestShardedApproxQuantileMatches crosses the exact/approximate
-// quantile cutoff under the concurrent engine: per-worker histograms
-// must Merge to the same Metrics the sequential single histogram
-// observes, including the arena-order mean.
+// quantile cutoff under the concurrent engine: the histogram finish()
+// streams over the arena the workers shared must give the same Metrics
+// the sequential run does, including the arena-order mean.
 func TestShardedApproxQuantileMatches(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trace above the exact-quantile cutoff")

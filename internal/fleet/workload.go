@@ -48,7 +48,6 @@ import (
 	"sort"
 	"strconv"
 
-	"sprinting/internal/series"
 	"sprinting/internal/trace"
 )
 
@@ -657,7 +656,7 @@ type wlArrival struct {
 // streams merge under the total (time, tenant) order — within one tenant
 // arrivals are strictly increasing, so the order is unambiguous and the
 // merge is byte-identical however the sort visits it.
-func (w WorkloadSpec) generate(cfg Config, sc Scenario, maxReqs int) (reqs []request, offered []int, truncated bool) {
+func (w WorkloadSpec) generate(cfg Config, sc Scenario, maxReqs int) (reqs []request, truncated bool) {
 	totalS := 0.0
 	for _, p := range sc.Phases {
 		totalS += p.DurationS
@@ -678,7 +677,7 @@ func (w WorkloadSpec) generate(cfg Config, sc Scenario, maxReqs int) (reqs []req
 		t, pi, pStart := 0.0, 0, 0.0
 		for {
 			if len(rows) >= maxReqs {
-				return getArena(0), nil, true
+				return getArena(0), true
 			}
 			mean := 1 / (tn.Arrival.RatePerS * sc.Phases[pi].factor(t-pStart))
 			t += clampF(drawGap(rng, tn.Arrival, mean), 1e-9, mean*64)
@@ -703,16 +702,14 @@ func (w WorkloadSpec) generate(cfg Config, sc Scenario, maxReqs int) (reqs []req
 		}
 		return rows[i].tenant < rows[j].tenant
 	})
-	offered = make([]int, len(sc.Phases))
 	reqs = getArena(len(rows))
 	for i, a := range rows {
 		reqs[i] = request{
 			arrivalS: a.atS, workS: a.workS, doneS: -1, firstNode: -1,
 			phase: a.phase, slo: a.slo, tenant: a.tenant, width: a.width,
 		}
-		offered[a.phase]++
 	}
-	return reqs, offered, false
+	return reqs, false
 }
 
 // wlClass is one SLO class's live state: the resolved declaration plus
@@ -731,15 +728,13 @@ type wlTenant struct {
 	class int16
 }
 
-// wlAcc accumulates one class's incremental counters and latency
-// distribution; everything else in ClassMetrics is derived from an
-// arena walk in assemble, so the hot path stays two counters and one
-// observe.
+// wlAcc counts one class's events as they fire: admission sheds and
+// retries. Everything else in ClassMetrics comes from the class's
+// settled arrival cohort (see cohort.go), so the hot path stays two
+// counters.
 type wlAcc struct {
 	admShed int
 	retries int
-	lat     []float64
-	hist    *series.Histogram
 }
 
 // workloadRun is the live multi-tenant state hanging off a sim; nil when
@@ -752,29 +747,29 @@ type workloadRun struct {
 	acc     []wlAcc
 }
 
-// newWorkloadRun lowers a defaulted, validated spec; streaming mirrors
-// the run-wide quantile mode so per-class quantiles carry the same
-// exact-vs-one-bin contract.
-func newWorkloadRun(w WorkloadSpec, streaming bool) *workloadRun {
+// newWorkloadRun lowers a defaulted, validated spec.
+func newWorkloadRun(w WorkloadSpec) *workloadRun {
 	wl := &workloadRun{disc: w.discipline()}
+	classIdx := wl.lowerClasses(w.Classes)
+	for _, t := range w.Tenants {
+		wl.tenants = append(wl.tenants, wlTenant{name: t.Name, class: classIdx[t.Class]})
+	}
+	wl.acc = make([]wlAcc, len(wl.classes))
+	return wl
+}
+
+// lowerClasses appends the declared SLO classes' live state, admission
+// buckets full, and returns each class's index by name.
+func (wl *workloadRun) lowerClasses(classes []SLOClass) map[string]int16 {
 	classIdx := map[string]int16{}
-	for i, c := range w.Classes {
+	for i, c := range classes {
 		wl.classes = append(wl.classes, wlClass{
 			name: c.Name, priority: c.Priority, targetP99S: c.TargetP99S, hedgeS: c.HedgeDelayS,
 			bucket: tokenBucket{ratePerS: c.AdmitRatePerS, burst: c.AdmitBurst, tokens: c.AdmitBurst},
 		})
 		classIdx[c.Name] = int16(i)
 	}
-	for _, t := range w.Tenants {
-		wl.tenants = append(wl.tenants, wlTenant{name: t.Name, class: classIdx[t.Class]})
-	}
-	wl.acc = make([]wlAcc, len(wl.classes))
-	if streaming {
-		for i := range wl.acc {
-			wl.acc[i].hist = series.NewHistogram()
-		}
-	}
-	return wl
+	return classIdx
 }
 
 // admit draws one admission token from the class's bucket; a refusal
@@ -783,18 +778,6 @@ func newWorkloadRun(w WorkloadSpec, streaming bool) *workloadRun {
 //sprint:hotpath
 func (w *workloadRun) admit(slo int16, nowS float64) bool {
 	return w.classes[slo].bucket.take(nowS)
-}
-
-// observe records one completion's latency into its class distribution.
-//
-//sprint:hotpath
-func (w *workloadRun) observe(slo int16, lat float64) {
-	a := &w.acc[slo]
-	if a.hist != nil {
-		a.hist.Observe(lat)
-	} else {
-		a.lat = append(a.lat, lat)
-	}
 }
 
 // before orders two queued requests under the non-FIFO disciplines; the
@@ -893,78 +876,36 @@ type TenantMetrics struct {
 	GoodputRPS float64
 }
 
-// assemble fills the workload outcome into the metrics; finish calls it
-// while the arena is live. Every count and float derives from an arena
-// walk in arena order (plus the two incremental counters admission and
-// retries), so it is bit-identical at any Workers count.
-func (w *workloadRun) assemble(s *sim, m *Metrics) {
+// assemble fills the workload outcome into the metrics from the class
+// and tenant cohorts finish() settled (plus the two event counters,
+// admission sheds and retries), so every figure is bit-identical at any
+// Workers count.
+func (w *workloadRun) assemble(m *Metrics, co *cohorts) {
 	m.Classes = make([]ClassMetrics, len(w.classes))
 	m.Tenants = make([]TenantMetrics, len(w.tenants))
-	sums := make([]float64, len(w.classes))
-	within := make([]int, len(w.classes))
 	for i := range w.classes {
-		cl := &w.classes[i]
-		m.Classes[i] = ClassMetrics{
+		cl, c := &w.classes[i], &co.classes[i]
+		cm := ClassMetrics{
 			Name: cl.name, Priority: cl.priority, TargetP99S: cl.targetP99S,
+			Offered: c.offered, Completed: c.completed, Dropped: c.dropped,
+			TimedOut: c.timedOut, Shed: c.shed,
 			AdmissionShed: w.acc[i].admShed, Retries: w.acc[i].retries,
+			MeanS: c.meanS(),
 		}
-	}
-	for i := range w.tenants {
-		t := &w.tenants[i]
-		m.Tenants[i] = TenantMetrics{Name: t.name, Class: w.classes[t.class].name}
-	}
-	for i := range s.reqs {
-		r := &s.reqs[i]
-		cm := &m.Classes[r.slo]
-		cm.Offered++
-		if int(r.tenant) < len(m.Tenants) {
-			m.Tenants[r.tenant].Offered++
-		}
-		switch {
-		case r.doneS >= 0:
-			cm.Completed++
-			if int(r.tenant) < len(m.Tenants) {
-				m.Tenants[r.tenant].Completed++
-			}
-			lat := r.doneS - r.arrivalS
-			sums[r.slo] += lat
-			if t := w.classes[r.slo].targetP99S; t > 0 && lat <= t {
-				within[r.slo]++
-			}
-		case r.dropped:
-			cm.Dropped++
-		case r.timedOut:
-			cm.TimedOut++
-		case r.shed:
-			cm.Shed++
-		}
-	}
-	for i := range m.Classes {
-		cm := &m.Classes[i]
-		if cm.Completed > 0 {
-			cm.MeanS = sums[i] / float64(cm.Completed)
-			if cm.TargetP99S > 0 {
-				cm.SLOAttainment = float64(within[i]) / float64(cm.Completed)
-			}
+		if c.completed > 0 && cm.TargetP99S > 0 {
+			cm.SLOAttainment = float64(c.within) / float64(c.completed)
 		}
 		if m.SimS > 0 {
 			cm.GoodputRPS = float64(cm.Completed) / m.SimS
 		}
-		a := &w.acc[i]
-		switch {
-		case a.hist != nil && a.hist.Count() > 0:
-			cm.P50S = a.hist.Quantile(0.50)
-			cm.P95S = a.hist.Quantile(0.95)
-			cm.P99S = a.hist.Quantile(0.99)
-			cm.P999S = a.hist.Quantile(0.999)
-			cm.MaxS = a.hist.Max()
-		case len(a.lat) > 0:
-			sort.Float64s(a.lat)
-			cm.P50S = series.Quantile(a.lat, 0.50)
-			cm.P95S = series.Quantile(a.lat, 0.95)
-			cm.P99S = series.Quantile(a.lat, 0.99)
-			cm.P999S = series.Quantile(a.lat, 0.999)
-			cm.MaxS = a.lat[len(a.lat)-1]
+		cm.P50S, cm.P95S, cm.P99S, cm.P999S, cm.MaxS = c.quantiles()
+		m.Classes[i] = cm
+	}
+	for i := range w.tenants {
+		t := &w.tenants[i]
+		m.Tenants[i] = TenantMetrics{
+			Name: t.name, Class: w.classes[t.class].name,
+			Offered: co.tenants[i].offered, Completed: co.tenants[i].completed,
 		}
 	}
 	// Jain fairness over per-tenant completions in tenant order:
@@ -1033,11 +974,6 @@ func replaySource(cfg Config, rows []TraceRequest, spec *WorkloadSpec) (source, 
 	if err := cfg.Validate(); err != nil {
 		return source{}, err
 	}
-	if wl != nil && !cfg.ExactQuantiles && cfg.Requests > exactQuantileCutoff {
-		for i := range wl.acc {
-			wl.acc[i].hist = series.NewHistogram()
-		}
-	}
 	reqs := getArena(len(rows))
 	for i := range rows {
 		row := &rows[i]
@@ -1057,58 +993,39 @@ func replaySource(cfg Config, rows []TraceRequest, spec *WorkloadSpec) (source, 
 // classes are its declarations and unknown labels are errors; without
 // one, implicit classes and tenants are minted from the sorted unique
 // labels ("" reads as "default"), carrying accounting but no admission
-// or priorities.
+// or priorities. A labeled tenant belongs to exactly one class: a trace
+// that labels one tenant with two classes is rejected at the first row
+// that disagrees. The unlabeled population may span classes; its
+// implicit tenant reports the class of its last row.
 func buildReplayRun(rows []TraceRequest, spec *WorkloadSpec, w *WorkloadSpec) (*workloadRun, []int16, []int16, error) {
-	classIdx := map[string]int16{}
 	wl := &workloadRun{disc: wlFIFO}
+	var classIdx map[string]int16
 	if spec != nil {
 		wl.disc = w.discipline()
-		for i, c := range w.Classes {
-			wl.classes = append(wl.classes, wlClass{
-				name: c.Name, priority: c.Priority, targetP99S: c.TargetP99S, hedgeS: c.HedgeDelayS,
-				bucket: tokenBucket{ratePerS: c.AdmitRatePerS, burst: c.AdmitBurst, tokens: c.AdmitBurst},
-			})
-			classIdx[c.Name] = int16(i)
-		}
+		classIdx = wl.lowerClasses(w.Classes)
 	} else {
-		names := map[string]bool{}
-		for i := range rows {
-			names[replayLabel(rows[i].Class)] = true
+		names, err := sortedLabels(rows, func(r *TraceRequest) string { return r.Class }, maxSLOClasses, "classes")
+		if err != nil {
+			return nil, nil, nil, err
 		}
-		sorted := make([]string, 0, len(names))
-		for name := range names {
-			sorted = append(sorted, name) // key extraction only; sorted below
-		}
-		sort.Strings(sorted)
-		if len(sorted) > maxSLOClasses {
-			return nil, nil, nil, fmt.Errorf("fleet: trace names %d classes (max %d)", len(sorted), maxSLOClasses)
-		}
-		for i, name := range sorted {
+		classIdx = map[string]int16{}
+		for i, name := range names {
 			wl.classes = append(wl.classes, wlClass{name: name})
 			classIdx[name] = int16(i)
 		}
 	}
+	names, err := sortedLabels(rows, func(r *TraceRequest) string { return r.Tenant }, maxTenants, "tenants")
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	tenantIdx := map[string]int16{}
-	{
-		names := map[string]bool{}
-		for i := range rows {
-			names[replayLabel(rows[i].Tenant)] = true
-		}
-		sorted := make([]string, 0, len(names))
-		for name := range names {
-			sorted = append(sorted, name) // key extraction only; sorted below
-		}
-		sort.Strings(sorted)
-		if len(sorted) > maxTenants {
-			return nil, nil, nil, fmt.Errorf("fleet: trace names %d tenants (max %d)", len(sorted), maxTenants)
-		}
-		for i, name := range sorted {
-			tenantIdx[name] = int16(i)
-		}
+	wl.tenants = make([]wlTenant, len(names))
+	for i, name := range names {
+		tenantIdx[name] = int16(i)
+		wl.tenants[i] = wlTenant{name: name, class: -1}
 	}
 	slos := make([]int16, len(rows))
 	tenants := make([]int16, len(rows))
-	tenantClass := make([]int16, len(tenantIdx))
 	for i := range rows {
 		row := &rows[i]
 		si := int16(0)
@@ -1122,16 +1039,35 @@ func buildReplayRun(rows []TraceRequest, spec *WorkloadSpec, w *WorkloadSpec) (*
 				return nil, nil, nil, fmt.Errorf("fleet: trace row %d: unknown class %q (spec declares %d classes)", i+1, row.Class, len(classIdx))
 			}
 		}
-		slos[i] = si
-		tenants[i] = tenantIdx[replayLabel(row.Tenant)]
-		tenantClass[tenants[i]] = si
-	}
-	wl.tenants = make([]wlTenant, len(tenantIdx))
-	for name, i := range tenantIdx {
-		wl.tenants[i] = wlTenant{name: name, class: tenantClass[i]} // indexed writes, one per key: order-independent
+		ti := tenantIdx[replayLabel(row.Tenant)]
+		tn := &wl.tenants[ti]
+		if row.Tenant != "" && tn.class >= 0 && tn.class != si {
+			return nil, nil, nil, fmt.Errorf("fleet: trace row %d: tenant %q is labeled class %q, but an earlier row labels it %q",
+				i+1, tn.name, wl.classes[si].name, wl.classes[tn.class].name)
+		}
+		tn.class = si
+		slos[i], tenants[i] = si, ti
 	}
 	wl.acc = make([]wlAcc, len(wl.classes))
 	return wl, slos, tenants, nil
+}
+
+// sortedLabels returns the trace's sorted unique labels of one kind ("" reads
+// as "default"), rejecting a trace that names more than max of them.
+func sortedLabels(rows []TraceRequest, label func(*TraceRequest) string, max int, kind string) ([]string, error) {
+	seen := map[string]bool{}
+	for i := range rows {
+		seen[replayLabel(label(&rows[i]))] = true
+	}
+	sorted := make([]string, 0, len(seen))
+	for name := range seen {
+		sorted = append(sorted, name) // key extraction only; sorted below
+	}
+	sort.Strings(sorted)
+	if len(sorted) > max {
+		return nil, fmt.Errorf("fleet: trace names %d %s (max %d)", len(sorted), kind, max)
+	}
+	return sorted, nil
 }
 
 // replayLabel reads an empty trace label as the implicit population.

@@ -116,7 +116,7 @@ func TestReplayShardWorkers(t *testing.T) {
 			WorkS:    0.5 + float64(i%5),
 			Width:    1 + i%3,
 			Tenant:   []string{"a", "b", "c"}[i%3],
-			Class:    []string{"gold", "best-effort"}[i%2],
+			Class:    []string{"gold", "best-effort", "gold"}[i%3],
 		})
 	}
 	cfg := DefaultConfig(SprintAware)
@@ -413,6 +413,22 @@ func TestReplayWithSpecClasses(t *testing.T) {
 	if _, _, err := Run(context.Background(), Spec{Config: cfg, Replay: rows, Workload: withTenants}); err == nil {
 		t.Error("replay spec with tenants was accepted")
 	}
+
+	// A tenant belongs to one class: rows (a,x) (a,x) (a,y) must be
+	// rejected at row 3, with or without a spec, rather than reporting
+	// the last row's class for a tenant class x mostly offered.
+	twoClasses := []TraceRequest{
+		{ArrivalS: 0, WorkS: 1, Tenant: "a", Class: "x"},
+		{ArrivalS: 1, WorkS: 1, Tenant: "a", Class: "x"},
+		{ArrivalS: 2, WorkS: 1, Tenant: "a", Class: "y"},
+	}
+	xy := &WorkloadSpec{Classes: []SLOClass{{Name: "x"}, {Name: "y"}}}
+	for _, w := range []*WorkloadSpec{nil, xy} {
+		_, _, err := Run(context.Background(), Spec{Config: cfg, Replay: twoClasses, Workload: w})
+		if err == nil || !strings.Contains(err.Error(), "row 3") {
+			t.Errorf("spec=%v: tenant labeled with two classes: err = %v, want a row-3 rejection", w != nil, err)
+		}
+	}
 }
 
 // TestWorkloadValidate pins the spec's loud-rejection surface, including
@@ -452,5 +468,44 @@ func TestWorkloadValidate(t *testing.T) {
 		if _, _, err := Run(context.Background(), spec); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+}
+
+// TestOneCohortMatchesFleet: a one-phase, one-class flat workload has a
+// single arrival cohort, so its phase, its class, and the fleet must
+// report the same counts and the same latency distribution bit for bit.
+// The trace runs past the exact-quantile cutoff, so the streaming
+// histograms and the streaming means are held to that too.
+func TestOneCohortMatchesFleet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("trace above the exact-quantile cutoff")
+	}
+	cfg := DefaultConfig(SprintAware)
+	cfg.Nodes = 64
+	w := WorkloadSpec{
+		Classes: []SLOClass{{Name: "all"}},
+		Tenants: []TenantSpec{{Name: "t", Class: "all",
+			Arrival: ArrivalSpec{Process: "poisson", RatePerS: 250},
+			Work:    WorkSpec{Dist: "exp", MeanS: 0.2}}},
+		DurationS: 600,
+	}
+	m := mustWorkload(t, cfg, w)
+	if !m.ApproxQuantiles {
+		t.Fatalf("%d requests did not stream past the cutoff", m.Requests)
+	}
+	if len(m.Phases) != 1 || len(m.Classes) != 1 {
+		t.Fatalf("got %d phases, %d classes; want one of each", len(m.Phases), len(m.Classes))
+	}
+	type view struct {
+		Offered, Completed                   int
+		P50S, P95S, P99S, P999S, MaxS, MeanS float64
+	}
+	fleet := view{m.Requests, m.Completed, m.P50S, m.P95S, m.P99S, m.P999S, m.MaxS, m.MeanS}
+	p, c := m.Phases[0], m.Classes[0]
+	if got := (view{p.Offered, p.Completed, p.P50S, p.P95S, p.P99S, p.P999S, p.MaxS, p.MeanS}); got != fleet {
+		t.Errorf("phase cohort disagrees with the fleet:\nphase %+v\nfleet %+v", got, fleet)
+	}
+	if got := (view{c.Offered, c.Completed, c.P50S, c.P95S, c.P99S, c.P999S, c.MaxS, c.MeanS}); got != fleet {
+		t.Errorf("class cohort disagrees with the fleet:\nclass %+v\nfleet %+v", got, fleet)
 	}
 }

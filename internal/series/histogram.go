@@ -85,30 +85,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Merge folds other's observations into h in O(bins): counts, count,
-// and sum add; min/max take the extremes. Merging is exactly equivalent
-// to having observed both samples into one histogram (bin assignment is
-// a pure function of the value), so sharded collectors — e.g. per-phase
-// scenario accumulators — can combine into a whole-run summary without
-// replaying observations. The receiver absorbs an empty other unchanged;
-// other is not modified.
-func (h *Histogram) Merge(other *Histogram) {
-	if other == nil || other.n == 0 {
-		return
-	}
-	for b := range h.counts {
-		h.counts[b] += other.counts[b]
-	}
-	h.n += other.n
-	h.sum += other.sum
-	if other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-}
-
 // Count returns the number of observations.
 func (h *Histogram) Count() int { return int(h.n) }
 

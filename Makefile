@@ -20,7 +20,8 @@
 # is the static gate — gofmt, go vet, the first-party sprintvet
 # analyzers (determinism and hot-path contracts), and govulncheck when
 # it is installed; `make fuzz-smoke` gives the scenario-JSON, workload-
-# spec, trace-replay, and recording-reader fuzzers a short budget each;
+# spec, trace-replay, and recording-reader fuzzers and the fleet
+# determinism-contract fuzzer a short budget each;
 # `make reliability`
 # demos the request-reliability layer (gray stragglers, client timeouts,
 # a budgeted retry storm); `make tenants` runs the multi-tenant workload
@@ -81,14 +82,17 @@ test: vet
 
 # A short-budget fuzz pass over every strict-decode surface — the
 # scenario JSON loader, the workload-spec loader, the request-trace
-# parser/replayer, and the flight-recording JSONL reader: enough to
-# catch a fresh panic in parsing, validation, or a bounded run, or a
-# recording that does not re-encode to a fixed point, without holding
-# up CI. (The go tool takes one -fuzz target per invocation, hence four.)
+# parser/replayer, and the flight-recording JSONL reader — plus the
+# determinism contract over fuzz-drawn run specs: enough to catch a
+# fresh panic in parsing, validation, or a bounded run, a recording that
+# does not re-encode to a fixed point, or a spec that breaks a contract
+# oracle, without holding up CI. (The go tool takes one -fuzz target per
+# invocation, hence five.)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScenarioJSON -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzWorkloadSpecJSON -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzTraceReplay -fuzztime 10s ./internal/fleet
+	$(GO) test -run '^$$' -fuzz FuzzRunContract -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s ./internal/trace
 
 bench:

@@ -1,8 +1,8 @@
 // Package analysis is sprintvet's first-party static-analysis suite: a
 // minimal go/analysis-shaped framework plus the four analyzers that
 // enforce the simulator's determinism and hot-path contracts at compile
-// time. The runtime pins (TestShardedMatchesSequential,
-// TestTraceShardedMatchesSequential, TestSimulateSteadyStateAllocations)
+// time. The runtime pins (the fleet's TestRunContract and
+// TestSimulateSteadyStateAllocations)
 // prove the contracts hold on the configurations they run; these
 // analyzers prove the *code shapes* that break them — wall-clock reads,
 // global randomness, map-order-dependent reductions, allocating hot

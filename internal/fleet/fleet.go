@@ -21,8 +21,8 @@
 //   - dispatch queries an incrementally maintained tournament tree over
 //     per-node drain keys (see index.go) in O(log N) instead of scanning
 //     every node per arrival, reproducing the scan's rotating tie-break
-//     exactly (the linear scan survives as the refDispatch reference used
-//     by the cross-implementation determinism suite);
+//     exactly (the linear scan survives as the refDispatch reference the
+//     determinism contract in contract_test.go compares against);
 //   - the future-event list is a value-based 4-ary heap merged with a
 //     time-sorted arrival cursor (see events.go), so scheduling an event
 //     moves a 40-byte value instead of boxing a fresh heap allocation;
@@ -631,9 +631,9 @@ func (n *node) outstanding() int {
 
 // refDispatch, when set, routes every policy selection through the O(N)
 // linear-scan reference selector instead of the dispatch index. It exists
-// for the cross-implementation determinism suite (index_test.go), which
-// proves the indexed and scanned selections produce identical Metrics;
-// it is unexported so release binaries cannot reach it.
+// for the determinism contract (contract_test.go), which proves the
+// indexed and scanned selections produce identical Metrics and
+// recordings; it is unexported so release binaries cannot reach it.
 var refDispatch bool
 
 // nodeClass is one hardware class of the fleet: the per-node constants
@@ -1527,10 +1527,7 @@ func (s *sim) selectNode(workS float64, exclude int) *node {
 	}
 	start := s.rr
 	s.rr++
-	if s.useRef || (s.cfg.Policy == SprintAware && exclude >= 0) {
-		// Sprint-aware exclusion never happens today (hedging scores by
-		// load), so the indexed path does not implement it; fall back to
-		// the reference scan should a future policy combination need it.
+	if s.useRef {
 		return s.refSelect(workS, exclude, start)
 	}
 	rot := start % len(s.nodes)

@@ -18,9 +18,9 @@
 //     tie-break spreads consecutive arrivals across them just as the
 //     scan did.
 //
-// The argmin query is two O(log N) descents: the root aggregate names
-// the minimum key, then firstEq finds the first leaf holding exactly
-// that key in rotation order from the policy's rotating start.
+// The argmin query reads the minimum key off the root aggregate; firstLE
+// at that key finds the first leaf holding it in rotation order from the
+// rotating start, one O(log N) range descent on each side of the wrap.
 //
 // Sprint-aware dispatch scores a node as its backlog-drain instant plus
 // a governor-projected service time, which depends on the request's
@@ -53,7 +53,8 @@ import "math"
 // dispatchIndex is a 1-based implicit binary tournament tree over fleet
 // routing keys. Leaf i of the fleet lives at tree slot size+i; absent
 // members (padding, removed, or disabled nodes) hold (full=true, +Inf)
-// so they lose to every present node and match no equality descent.
+// so they lose to every present node and every firstLE descent prunes
+// them.
 type dispatchIndex struct {
 	n    int // real leaves (fleet size)
 	size int // power-of-two leaf span
@@ -176,8 +177,9 @@ func (t *dispatchIndex) firstLE(start int, thresh float64) int {
 	return t.firstLERange(1, 0, t.size, 0, start, thresh)
 }
 
-// firstLERange is firstEq's ≤-threshold analogue: a subtree whose
-// minimum present key exceeds thresh contains no qualifying leaf.
+// firstLERange returns the first present leaf in [lo, hi) under node
+// (spanning [nlo, nhi)) with key ≤ thresh, or -1, pruning every subtree
+// whose minimum present key exceeds thresh.
 //
 //sprint:hotpath
 func (t *dispatchIndex) firstLERange(node, nlo, nhi, lo, hi int, thresh float64) int {

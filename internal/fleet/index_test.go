@@ -1,58 +1,9 @@
 package fleet
 
 import (
-	"context"
-	"fmt"
 	"math"
-	"reflect"
 	"testing"
 )
-
-// TestIndexedDispatchMatchesReferenceScan is the cross-implementation
-// determinism suite: every policy × rack coordination × seed, at two load
-// shapes (healthy, and overloaded into tiny queues so the full-node
-// fallback, drop attribution, and hedge suppression paths all fire), must
-// produce identical Metrics from the O(log N) dispatch index and from the
-// retained O(N) linear-scan reference selector. This is the proof that
-// the index is an optimization, not a behavior change.
-func TestIndexedDispatchMatchesReferenceScan(t *testing.T) {
-	if refDispatch {
-		t.Fatal("refDispatch already set")
-	}
-	shapes := []struct {
-		name     string
-		overload float64
-		queueCap int
-	}{
-		{"healthy", 0.9, 256},
-		{"overloaded", 1.6, 3},
-	}
-	for _, sh := range shapes {
-		for _, p := range Policies() {
-			for _, c := range append([]Coordination{NoCoordination}, Coordinations()...) {
-				for _, seed := range []int64{1, 7, 42} {
-					cfg := DefaultConfig(p)
-					cfg.Nodes = 24
-					cfg.Requests = 1500
-					cfg.Seed = seed
-					cfg.QueueCap = sh.queueCap
-					cfg.ArrivalRatePerS = sh.overload * float64(cfg.Nodes) / cfg.MeanWorkS
-					cfg.Coordination = c
-					name := fmt.Sprintf("%s/%s/%s/seed=%d", sh.name, p, c, seed)
-
-					indexed := mustSimulate(t, cfg)
-					refDispatch = true
-					ref := mustSimulate(t, cfg)
-					refDispatch = false
-					if !reflect.DeepEqual(indexed, ref) {
-						t.Errorf("%s: indexed dispatch diverged from the linear-scan reference:\nindexed: %+v\nref:     %+v",
-							name, indexed, ref)
-					}
-				}
-			}
-		}
-	}
-}
 
 func TestIndexArgminRotationTieBreak(t *testing.T) {
 	idx := newDispatchIndex(5)
@@ -127,25 +78,5 @@ func TestIndexDisableRestore(t *testing.T) {
 	idx.update(1, full, d)
 	if got := idx.argmin(0); got != 1 {
 		t.Errorf("argmin after restore = %d, want 1", got)
-	}
-}
-
-// TestIndexedDispatchAtScaleSmoke runs one mid-size simulation per policy
-// purely for the index's internal consistency checks (drop accounting,
-// rack invariants assert at finish); the interesting regime for the index
-// is thousands of nodes, which the unit-level determinism suite cannot
-// afford to cross-check exhaustively.
-func TestIndexedDispatchAtScaleSmoke(t *testing.T) {
-	for _, p := range Policies() {
-		cfg := DefaultConfig(p)
-		cfg.Nodes = 500
-		cfg.Requests = 5000
-		m, _, err := Run(context.Background(), Spec{Config: cfg})
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		if m.Completed+m.Dropped != m.Requests {
-			t.Errorf("%s: %d completed + %d dropped != %d requests", p, m.Completed, m.Dropped, m.Requests)
-		}
 	}
 }

@@ -7,6 +7,9 @@ package fleet
 // allocation counts).
 const raceEnabled = false
 
-// equivalenceSeeds drives the sharded-vs-sequential matrix; the
+// equivalenceSeeds are the contract grid's worker-oracle seeds; the
 // uninstrumented build affords the full seed sweep.
 var equivalenceSeeds = []int64{1, 2, 3}
+
+// contractDraws is how many generated rows TestRunContract checks.
+const contractDraws = 30

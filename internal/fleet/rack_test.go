@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -22,16 +21,6 @@ func rackContrast(c Coordination) Config {
 	cfg.BreakerRecoveryS = 4
 	cfg.ArrivalRatePerS = 1.2 * float64(cfg.Nodes) / cfg.MeanWorkS
 	return cfg
-}
-
-func TestRackDeterminism(t *testing.T) {
-	for _, c := range Coordinations() {
-		a := mustSimulate(t, rackContrast(c))
-		b := mustSimulate(t, rackContrast(c))
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: two runs of the same config differ:\n%+v\n%+v", c, a, b)
-		}
-	}
 }
 
 // TestUncoordinatedTripsTokenPermitDoesNot is the subsystem's headline
@@ -85,68 +74,12 @@ func TestProbabilisticSitsBetween(t *testing.T) {
 	}
 }
 
-// TestRackAccounting: racks partition the fleet (a 20-node fleet in racks
-// of 8 is 8+8+4), per-rack energy sums to the fleet total, and per-node
-// rack assignments agree with the partition.
-func TestRackAccounting(t *testing.T) {
-	cfg := rackContrast(Uncoordinated)
-	cfg.Nodes = 20
-	cfg.RackSize = 8
-	cfg.RackPowerBudgetW = 0 // re-derive the default for this rack size
-	cfg = cfg.withDefaults()
-	m := mustSimulate(t, cfg)
-	if len(m.Racks) != 3 {
-		t.Fatalf("20 nodes in racks of 8 should make 3 racks, got %d", len(m.Racks))
-	}
-	wantSizes := []int{8, 8, 4}
-	rackJ := 0.0
-	for i, r := range m.Racks {
-		if r.ID != i || r.Nodes != wantSizes[i] {
-			t.Errorf("rack %d: got ID %d with %d nodes, want %d nodes", i, r.ID, r.Nodes, wantSizes[i])
-		}
-		rackJ += r.EnergyJ
-	}
-	if math.Abs(rackJ-m.TotalEnergyJ) > 1e-9 {
-		t.Errorf("per-rack energy %.3f J does not add up to fleet total %.3f J", rackJ, m.TotalEnergyJ)
-	}
-	for _, n := range m.Nodes {
-		if n.Rack != n.ID/8 {
-			t.Errorf("node %d assigned to rack %d, want %d", n.ID, n.Rack, n.ID/8)
-		}
-	}
-}
-
 // TestNoCoordinationHasNoRackState: the zero-value Coordination keeps the
 // pre-rack behavior — no racks, no trips, no permit traffic.
 func TestNoCoordinationHasNoRackState(t *testing.T) {
 	m := mustSimulate(t, highLoad(SprintAware))
 	if m.Racks != nil || m.BreakerTrips != 0 || m.PermitRequests != 0 || m.PermitDenials != 0 {
 		t.Errorf("NoCoordination leaked rack state: %+v", m)
-	}
-}
-
-// TestDropAttributionEveryPolicy is the regression test for unattributed
-// fleet-wide drops: when scanBest finds no eligible node the drop is
-// charged to the node the request would have joined, so per-node drops
-// always sum to the fleet total under every policy.
-func TestDropAttributionEveryPolicy(t *testing.T) {
-	for _, p := range Policies() {
-		cfg := DefaultConfig(p)
-		cfg.Nodes = 4
-		cfg.Requests = 2000
-		cfg.QueueCap = 2
-		cfg.ArrivalRatePerS = 2 * float64(cfg.Nodes) / cfg.MeanWorkS // 2× overload
-		m := mustSimulate(t, cfg)
-		if m.Dropped == 0 {
-			t.Fatalf("%s: 2× overload into 2-deep queues should drop requests", p)
-		}
-		sum := 0
-		for _, n := range m.Nodes {
-			sum += n.Dropped
-		}
-		if sum != m.Dropped {
-			t.Errorf("%s: per-node drops %d != fleet drops %d", p, sum, m.Dropped)
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -26,86 +25,6 @@ func relConfig(p Policy) Config {
 		FaultProb: 0.02,
 	}
 	return cfg
-}
-
-// TestReliabilityConservation is the layer's bookkeeping contract, for
-// every policy × coordination: each request lands in exactly one
-// terminal state, per-node counters sum to the fleet totals, and the
-// derived rates are consistent with the counts.
-func TestReliabilityConservation(t *testing.T) {
-	for _, p := range Policies() {
-		for _, c := range append([]Coordination{NoCoordination}, Coordinations()...) {
-			cfg := relConfig(p)
-			cfg.QueueCap = 8             // bound queues so drops can appear
-			cfg.Reliability.TimeoutS = 3 // tight enough to exhaust retries
-			cfg.Coordination = c
-			if c != NoCoordination {
-				cfg.RackSize = 5
-			}
-			m := mustSimulate(t, cfg)
-			if got := m.Completed + m.Dropped + m.TimedOut + m.Shed; got != m.Requests {
-				t.Errorf("%s/%s: conservation violated: %d+%d+%d+%d = %d != %d requests",
-					p, c, m.Completed, m.Dropped, m.TimedOut, m.Shed, got, m.Requests)
-			}
-			if m.TimedOut == 0 {
-				t.Errorf("%s/%s: gray stragglers under overload should time requests out", p, c)
-			}
-			drops, timeouts, retries, gray := 0, 0, 0, 0
-			for _, n := range m.Nodes {
-				drops += n.Dropped
-				timeouts += n.TimedOut
-				retries += n.Retries
-				if n.Gray {
-					gray++
-				}
-			}
-			if drops != m.Dropped {
-				t.Errorf("%s/%s: per-node drops %d != fleet %d", p, c, drops, m.Dropped)
-			}
-			if timeouts != m.TimedOut {
-				t.Errorf("%s/%s: per-node timeouts %d != fleet %d", p, c, timeouts, m.TimedOut)
-			}
-			if retries != m.Retries {
-				t.Errorf("%s/%s: per-node retries %d != fleet %d", p, c, retries, m.Retries)
-			}
-			if gray != m.GrayNodes {
-				t.Errorf("%s/%s: per-node gray flags %d != GrayNodes %d", p, c, gray, m.GrayNodes)
-			}
-			if want := int(math.Round(0.2 * 16)); m.GrayNodes != want {
-				t.Errorf("%s/%s: GrayNodes = %d, want round(GrayFrac·N) = %d", p, c, m.GrayNodes, want)
-			}
-			wantAmp := float64(m.Requests+m.Retries) / float64(m.Requests)
-			if math.Abs(m.RetryAmplification-wantAmp) > 1e-12 {
-				t.Errorf("%s/%s: RetryAmplification = %g, want %g", p, c, m.RetryAmplification, wantAmp)
-			}
-			wantThr := float64(m.Completed+m.WastedServices+m.TransientFaults) / m.SimS
-			if math.Abs(m.ThroughputRPS-wantThr) > 1e-12 {
-				t.Errorf("%s/%s: ThroughputRPS = %g, want %g", p, c, m.ThroughputRPS, wantThr)
-			}
-			if m.GoodputRPS > m.ThroughputRPS {
-				t.Errorf("%s/%s: goodput %g exceeds throughput %g", p, c, m.GoodputRPS, m.ThroughputRPS)
-			}
-		}
-	}
-}
-
-// TestReliabilityOffUnchanged pins the zero-value contract: with the
-// layer off no reliability counter moves, goodput equals throughput
-// (every service is client-useful), and amplification is exactly 1.
-func TestReliabilityOffUnchanged(t *testing.T) {
-	for _, p := range Policies() {
-		m := mustSimulate(t, highLoad(p))
-		if m.TimedOut != 0 || m.Shed != 0 || m.Retries != 0 || m.TransientFaults != 0 ||
-			m.WastedServices != 0 || m.GrayNodes != 0 {
-			t.Errorf("%s: reliability counters moved with the layer off: %+v", p, m)
-		}
-		if m.GoodputRPS != m.ThroughputRPS {
-			t.Errorf("%s: goodput %g != throughput %g with the layer off", p, m.GoodputRPS, m.ThroughputRPS)
-		}
-		if m.RetryAmplification != 1 {
-			t.Errorf("%s: amplification = %g, want exactly 1", p, m.RetryAmplification)
-		}
-	}
 }
 
 // TestGrayNodesStretchTail: planting gray stragglers (and nothing else —
@@ -174,30 +93,6 @@ func TestRetryBudgetSheds(t *testing.T) {
 	}
 }
 
-// TestShardedReliabilityMatchesSequential extends the sharding contract
-// over the reliability knobs: the layer's seeded draws (fault injection,
-// backoff jitter) and timeout/retry events must replay identically at
-// every worker count, for every policy and a coordinated variant.
-func TestShardedReliabilityMatchesSequential(t *testing.T) {
-	for _, p := range Policies() {
-		for _, c := range []Coordination{NoCoordination, TokenPermit} {
-			cfg := relConfig(p)
-			cfg.Coordination = c
-			if c != NoCoordination {
-				cfg.RackSize = 5
-			}
-			seq := mustSimulate(t, cfg)
-			for _, w := range workerCounts {
-				cfg.Workers = w
-				got := mustSimulate(t, cfg)
-				if !reflect.DeepEqual(got, seq) {
-					t.Errorf("%s/%s workers=%d reliability run diverged from sequential", p, c, w)
-				}
-			}
-		}
-	}
-}
-
 // relChurnScenario is flashCrowdChurn with rack-level churn stacked on
 // top; rack churn needs rack power domains, so the config is coordinated.
 func relChurnScenario() (Config, Scenario) {
@@ -213,69 +108,6 @@ func relChurnScenario() (Config, Scenario) {
 	sc.Churn.RackMTBFS = 50
 	sc.Churn.RackMeanDowntimeS = 4
 	return cfg, sc
-}
-
-// TestShardedReliabilityScenarioMatchesSequential: the full stack — flash
-// crowd, node churn, rack churn, gray failures, timeouts, budgeted
-// retries — stays byte-identical at every worker count.
-func TestShardedReliabilityScenarioMatchesSequential(t *testing.T) {
-	cfg, sc := relChurnScenario()
-	seq := mustScenario(t, cfg, sc)
-	for _, w := range workerCounts {
-		cfg.Workers = w
-		got := mustScenario(t, cfg, sc)
-		if !reflect.DeepEqual(got, seq) {
-			t.Errorf("workers=%d reliability scenario diverged from sequential", w)
-		}
-	}
-}
-
-// TestReliabilityScenarioConservation: under combined node churn, rack
-// churn, and the full reliability layer, the per-phase breakdown must sum
-// to the fleet totals for every new counter, for all four policies.
-func TestReliabilityScenarioConservation(t *testing.T) {
-	for _, p := range Policies() {
-		cfg, sc := relChurnScenario()
-		cfg.Policy = p
-		m := mustScenario(t, cfg, sc)
-		if got := m.Completed + m.Dropped + m.TimedOut + m.Shed; got != m.Requests {
-			t.Errorf("%s: conservation violated under churn: %d != %d", p, got, m.Requests)
-		}
-		if m.RackFailures == 0 {
-			t.Errorf("%s: rack churn should fire at least one rack failure", p)
-		}
-		offered, completed, dropped, timedOut, shed, retries, faults := 0, 0, 0, 0, 0, 0, 0
-		for _, ph := range m.Phases {
-			offered += ph.Offered
-			completed += ph.Completed
-			dropped += ph.Dropped
-			timedOut += ph.TimedOut
-			shed += ph.Shed
-			retries += ph.Retries
-			faults += ph.TransientFaults
-			if ph.Offered > 0 && math.Abs(ph.ShedRate-float64(ph.Shed)/float64(ph.Offered)) > 1e-12 {
-				t.Errorf("%s/%s: ShedRate %g inconsistent with %d/%d", p, ph.Name, ph.ShedRate, ph.Shed, ph.Offered)
-			}
-		}
-		if offered != m.Requests || completed != m.Completed || dropped != m.Dropped {
-			t.Errorf("%s: phase sums diverge from fleet totals: %d/%d/%d vs %d/%d/%d",
-				p, offered, completed, dropped, m.Requests, m.Completed, m.Dropped)
-		}
-		if timedOut != m.TimedOut || shed != m.Shed || retries != m.Retries || faults != m.TransientFaults {
-			t.Errorf("%s: per-phase reliability sums diverge: %d/%d/%d/%d vs %d/%d/%d/%d",
-				p, timedOut, shed, retries, faults, m.TimedOut, m.Shed, m.Retries, m.TransientFaults)
-		}
-		nodeTimeouts, nodeRetries, nodeDrops := 0, 0, 0
-		for _, n := range m.Nodes {
-			nodeTimeouts += n.TimedOut
-			nodeRetries += n.Retries
-			nodeDrops += n.Dropped
-		}
-		if nodeTimeouts != m.TimedOut || nodeRetries != m.Retries || nodeDrops != m.Dropped {
-			t.Errorf("%s: per-node sums diverge under churn: %d/%d/%d vs %d/%d/%d",
-				p, nodeTimeouts, nodeRetries, nodeDrops, m.TimedOut, m.Retries, m.Dropped)
-		}
-	}
 }
 
 // TestRackChurnCorrelatedFailures drives rack power loss end to end

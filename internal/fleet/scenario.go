@@ -259,7 +259,7 @@ func (sc Scenario) Validate(cfg Config) error {
 	if sc.MaxRequests <= 0 {
 		return fmt.Errorf("fleet: scenario request cap must be positive")
 	}
-	for i, p := range sc.Phases {
+	for _, p := range sc.Phases {
 		switch {
 		case p.DurationS <= 0:
 			return fmt.Errorf("fleet: phase %q: duration must be positive", p.Name)
@@ -280,7 +280,6 @@ func (sc Scenario) Validate(cfg Config) error {
 				return fmt.Errorf("fleet: phase %q: class %q at ambient %+.1f °C: %w", p.Name, c.Name, p.AmbientDeltaC, err)
 			}
 		}
-		_ = i
 	}
 	if len(sc.Classes) > 0 {
 		if sc.Nodes() != cfg.Nodes {

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"math"
-	"reflect"
 	"testing"
 )
 
@@ -36,18 +35,13 @@ func mustScenario(t *testing.T, cfg Config, sc Scenario) Metrics {
 	return m
 }
 
-// TestScenarioDeterminism is the scenario engine's contract: a flash
-// crowd with failure churn is a pure function of (Config, Scenario), so
-// two runs are deeply equal and the headline numbers match a pinned
-// snapshot (which only moves when the model itself changes — and such a
-// change should be a conscious one).
+// TestScenarioDeterminism pins a flash crowd with failure churn: the
+// headline numbers match a snapshot that only moves when the model
+// itself changes (and such a change should be a conscious one). The
+// run's repeatability is TestRunContract's flash-crowd rows.
 func TestScenarioDeterminism(t *testing.T) {
 	cfg, sc := flashCrowdChurn()
 	a := mustScenario(t, cfg, sc)
-	b := mustScenario(t, cfg, sc)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("two runs of the same scenario differ:\n%+v\n%+v", a, b)
-	}
 	const (
 		wantRequests = 1363
 		wantFailures = 6
@@ -68,81 +62,6 @@ func TestScenarioDeterminism(t *testing.T) {
 	}
 	if surge := a.Phases[1]; math.Abs(surge.P99S-wantSurgeP99) > 1e-9 {
 		t.Errorf("surge P99S = %.12f, want pinned %.12f", surge.P99S, wantSurgeP99)
-	}
-}
-
-// TestScenarioIndexedMatchesReference extends the cross-implementation
-// determinism suite to dynamic fleets: with phases, ambient swings, and
-// churn all active, the O(log N) dispatch index (whose keys must survive
-// nodes dying and rejoining) must produce Metrics identical to the
-// linear-scan reference selector, for every policy and with rack
-// coordination on top.
-func TestScenarioIndexedMatchesReference(t *testing.T) {
-	if refDispatch {
-		t.Fatal("refDispatch already set")
-	}
-	cfg, sc := flashCrowdChurn()
-	cfg.QueueCap = 8 // overload the surge so the full-node paths fire
-	sc.Phases[1].AmbientDeltaC = 12
-	for _, p := range Policies() {
-		for _, c := range []Coordination{NoCoordination, TokenPermit, Uncoordinated} {
-			cfg.Policy = p
-			cfg.Coordination = c
-			cfg.RackSize = 0
-			cfg.RackPowerBudgetW = 0
-			indexed := mustScenario(t, cfg, sc)
-			refDispatch = true
-			ref := mustScenario(t, cfg, sc)
-			refDispatch = false
-			if !reflect.DeepEqual(indexed, ref) {
-				t.Errorf("%s/%s: indexed dispatch diverged from the reference scan under churn:\nindexed: %+v\nref:     %+v",
-					p, c, indexed, ref)
-			}
-		}
-	}
-}
-
-// TestScenarioChurnAccounting: every request is accounted for even while
-// nodes die mid-service — completed or dropped, never lost — per-node
-// drops sum to the fleet total, and orphaned copies visibly fail over.
-func TestScenarioChurnAccounting(t *testing.T) {
-	cfg, sc := flashCrowdChurn()
-	cfg.QueueCap = 4 // small queues: failovers must sometimes drop
-	sc.Churn = Churn{MTBFS: 5, MeanDowntimeS: 8}
-	for _, p := range Policies() {
-		cfg.Policy = p
-		m := mustScenario(t, cfg, sc)
-		if m.NodeFailures == 0 || m.NodeRecoveries == 0 {
-			t.Fatalf("%s: churn should fail and recover nodes: %d/%d", p, m.NodeFailures, m.NodeRecoveries)
-		}
-		if m.Redispatches == 0 {
-			t.Errorf("%s: failing busy nodes should fail requests over", p)
-		}
-		if m.Completed+m.Dropped != m.Requests {
-			t.Errorf("%s: requests unaccounted for under churn: %d completed + %d dropped != %d",
-				p, m.Completed, m.Dropped, m.Requests)
-		}
-		drops, fails := 0, 0
-		for _, n := range m.Nodes {
-			drops += n.Dropped
-			fails += n.Failures
-		}
-		if drops != m.Dropped {
-			t.Errorf("%s: per-node drops %d != fleet drops %d", p, drops, m.Dropped)
-		}
-		if fails != m.NodeFailures {
-			t.Errorf("%s: per-node failures %d != fleet failures %d", p, fails, m.NodeFailures)
-		}
-		offered, completed, dropped := 0, 0, 0
-		for _, ph := range m.Phases {
-			offered += ph.Offered
-			completed += ph.Completed
-			dropped += ph.Dropped
-		}
-		if offered != m.Requests || completed != m.Completed || dropped != m.Dropped {
-			t.Errorf("%s: phase sums diverge from totals: offered %d/%d completed %d/%d dropped %d/%d",
-				p, offered, m.Requests, completed, m.Completed, dropped, m.Dropped)
-		}
 	}
 }
 

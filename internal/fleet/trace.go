@@ -16,7 +16,7 @@
 //     loop (parallelOK returns false), which fires events in the exact
 //     global (time, seq) order; the recorder appends in handler order,
 //     so the resulting Trace — and its JSONL bytes — are identical at
-//     every Workers value (TestTraceShardedMatchesSequential).
+//     every Workers value (TestRunContract, trace-workers).
 //
 //   - Observation only. Every hook reads simulation state and writes
 //     recorder state, never the reverse: the alternatives lookup reads
@@ -25,7 +25,7 @@
 //     rotation counter, probes watch departures without touching
 //     queues, and timeline samples project rack buffers to the window
 //     boundary without accruing them — so a traced run's Metrics equal
-//     the untraced run's exactly (TestTracedMetricsUnchanged).
+//     the untraced run's exactly (TestRunContract, traced).
 //
 // The counterfactual model: for each recorded alternative the probe
 // counts the copies outstanding on that node at decision time. Service

@@ -38,122 +38,6 @@ func traceBytes(t *testing.T, tr *trace.Trace) []byte {
 	return b.Bytes()
 }
 
-// TestTraceShardedMatchesSequential extends the sharding contract to the
-// flight recorder: the serialized JSONL trace — every decision, event,
-// and timeline sample, in order — must be byte-identical at every worker
-// count, across the same policy × coordination × shape matrix the
-// Metrics contract test runs. A recorder makes the run coupled, so this
-// pins that Workers is a no-op for traced runs and the record stream
-// keeps the exact global event order.
-func TestTraceShardedMatchesSequential(t *testing.T) {
-	shapes := []struct {
-		name     string
-		overload float64
-		queueCap int
-	}{
-		{"healthy", 0.9, 256},
-		{"overloaded", 1.6, 3},
-	}
-	for _, sh := range shapes {
-		for _, p := range Policies() {
-			for _, c := range append([]Coordination{NoCoordination}, Coordinations()...) {
-				cfg := DefaultConfig(p)
-				cfg.Nodes = 24
-				cfg.Requests = 1500
-				cfg.Seed = equivalenceSeeds[0]
-				cfg.QueueCap = sh.queueCap
-				cfg.ArrivalRatePerS = sh.overload * float64(cfg.Nodes) / cfg.MeanWorkS
-				cfg.Coordination = c
-				if c != NoCoordination {
-					cfg.RackSize = 5 // ragged: 24 nodes → racks of 5,5,5,5,4
-				}
-				cfg.Trace = TraceConfig{Level: trace.LevelFull}
-				seqM, seqTr := mustTraced(t, cfg)
-				seqB := traceBytes(t, seqTr)
-				for _, w := range workerCounts {
-					cfg.Workers = w
-					gotM, gotTr := mustTraced(t, cfg)
-					if !reflect.DeepEqual(gotM, seqM) {
-						t.Errorf("%s/%s/%s workers=%d traced Metrics diverged from sequential", sh.name, p, c, w)
-						continue
-					}
-					if gotB := traceBytes(t, gotTr); !bytes.Equal(gotB, seqB) {
-						t.Errorf("%s/%s/%s workers=%d trace bytes diverged from sequential (%d vs %d bytes)",
-							sh.name, p, c, w, len(gotB), len(seqB))
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestTraceScenarioShardedMatchesSequential runs the same byte-identity
-// contract through the dynamic engine: flash-crowd phases and failure
-// churn annotate the trace (phase-start, node-fail/recover, redispatch
-// decisions), and the bytes must still match at every worker count.
-func TestTraceScenarioShardedMatchesSequential(t *testing.T) {
-	for _, c := range []Coordination{NoCoordination, TokenPermit} {
-		cfg, sc := flashCrowdChurn()
-		cfg.Coordination = c
-		if c != NoCoordination {
-			cfg.RackSize = 5
-		}
-		cfg.Trace = TraceConfig{Level: trace.LevelDecisions}
-		seqM, seqTr, err := Run(context.Background(), Spec{Config: traced(cfg), Scenario: &sc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqB := traceBytes(t, seqTr)
-		for _, w := range workerCounts {
-			cfg.Workers = w
-			gotM, gotTr, err := Run(context.Background(), Spec{Config: traced(cfg), Scenario: &sc})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(gotM, seqM) {
-				t.Errorf("%s workers=%d traced scenario Metrics diverged", c, w)
-			}
-			if gotB := traceBytes(t, gotTr); !bytes.Equal(gotB, seqB) {
-				t.Errorf("%s workers=%d scenario trace bytes diverged", c, w)
-			}
-		}
-	}
-}
-
-// TestTracedMetricsUnchanged is the observation-only contract: attaching
-// the recorder must not perturb the simulation — the traced run's
-// Metrics equal the untraced run's exactly, for every policy and
-// coordination, plain and scenario mode.
-func TestTracedMetricsUnchanged(t *testing.T) {
-	for _, p := range Policies() {
-		for _, c := range append([]Coordination{NoCoordination}, Coordinations()...) {
-			cfg := DefaultConfig(p)
-			cfg.Nodes = 24
-			cfg.Requests = 1200
-			cfg.ArrivalRatePerS = 1.1 * float64(cfg.Nodes) / cfg.MeanWorkS
-			cfg.Coordination = c
-			if c != NoCoordination {
-				cfg.RackSize = 6
-			}
-			plain := mustSimulate(t, cfg)
-			cfg.Trace = TraceConfig{Level: trace.LevelFull, TopK: 5, WindowS: 2}
-			traced, _ := mustTraced(t, cfg)
-			if !reflect.DeepEqual(plain, traced) {
-				t.Errorf("%s/%s: traced Metrics differ from untraced", p, c)
-			}
-		}
-	}
-	cfg, sc := flashCrowdChurn()
-	plain := mustScenario(t, cfg, sc)
-	got, _, err := Run(context.Background(), Spec{Config: traced(cfg), Scenario: &sc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain, got) {
-		t.Error("scenario: traced Metrics differ from untraced")
-	}
-}
-
 // TestTraceWorkloadProbesResolve records a hedged workload run under the
 // priority discipline, whose dequeue cancels losing hedge copies from
 // anywhere in the queue: the Metrics must equal the untraced run's, and
@@ -499,114 +383,6 @@ func TestTraceCounterfactualIdleExact(t *testing.T) {
 	}
 	if fmt.Sprintf("%.9f", d.BestAltDoneS) != fmt.Sprintf("%.9f", d.DoneS) {
 		t.Fatalf("alt completion %g != realized %g", d.BestAltDoneS, d.DoneS)
-	}
-}
-
-// TestTracedAltsMatchReferenceScan is the alternatives lookup's
-// cross-implementation suite: the recorder answers each decision's top-k
-// rejected alternatives from the dispatch index, and the recording's
-// JSONL bytes must equal those of a refDispatch run, which scores every
-// node. The grid is TestIndexedDispatchMatchesReferenceScan's (every
-// policy × coordination × seed, healthy and overloaded into tiny queues)
-// with k varied by seed, plus a heterogeneous-class scenario (several
-// index segments) and a run with reliability faults and node and rack
-// failures, for every policy.
-func TestTracedAltsMatchReferenceScan(t *testing.T) {
-	if refDispatch {
-		t.Fatal("refDispatch already set")
-	}
-	check := func(name string, spec Spec) {
-		t.Helper()
-		_, tr, err := Run(context.Background(), spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		refDispatch = true
-		_, refTr, err := Run(context.Background(), spec)
-		refDispatch = false
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, want := traceBytes(t, tr), traceBytes(t, refTr)
-		if !bytes.Equal(got, want) {
-			gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-			for i := 0; i < len(gl) && i < len(wl); i++ {
-				if !bytes.Equal(gl[i], wl[i]) {
-					t.Errorf("%s: recording diverged from the reference scan at line %d:\nindexed: %s\nref:     %s", name, i+1, gl[i], wl[i])
-					return
-				}
-			}
-			t.Errorf("%s: recording length %d lines, reference %d", name, len(gl), len(wl))
-		}
-	}
-	shapes := []struct {
-		name     string
-		overload float64
-		queueCap int
-	}{
-		{"healthy", 0.9, 256},
-		{"overloaded", 1.6, 3},
-	}
-	seeds := []int64{1, 7, 42}
-	topK := []int{3, 1, 6}
-	for _, sh := range shapes {
-		for _, p := range Policies() {
-			for _, c := range append([]Coordination{NoCoordination}, Coordinations()...) {
-				for si, seed := range seeds {
-					cfg := DefaultConfig(p)
-					cfg.Nodes = 24
-					cfg.Requests = 1500
-					cfg.Seed = seed
-					cfg.QueueCap = sh.queueCap
-					cfg.ArrivalRatePerS = sh.overload * float64(cfg.Nodes) / cfg.MeanWorkS
-					cfg.Coordination = c
-					cfg.Trace = TraceConfig{Level: trace.LevelDecisions, TopK: topK[si]}
-					check(fmt.Sprintf("%s/%s/%s/seed=%d", sh.name, p, c, seed), Spec{Config: cfg})
-				}
-			}
-		}
-	}
-	for _, p := range Policies() {
-		cfg := DefaultConfig(p)
-		cfg.Nodes = 16
-		cfg.Seed = 3
-		cfg.Coordination = TokenPermit
-		cfg.RackSize = 4
-		cfg.Trace = TraceConfig{Level: trace.LevelDecisions, TopK: 5}
-		sc := Scenario{
-			BaseRatePerS: 3,
-			Phases: []Phase{
-				{Name: "steady", DurationS: 120},
-				{Name: "surge", DurationS: 60, StartFactor: 1.8},
-			},
-			Classes: []NodeClass{
-				{Name: "big", Count: 4, SprintWidth: 32, BudgetScale: 2, DrainScale: 2},
-				{Name: "small", Count: 9, NominalPowerW: 0.5},
-				{Name: "tail", Count: 3, SprintWidth: 4},
-			},
-			Churn: Churn{MTBFS: 40, MeanDowntimeS: 5},
-		}
-		check(fmt.Sprintf("heterogeneous/%s", p), Spec{Config: cfg, Scenario: &sc})
-
-		cfg, sc = relChurnScenario()
-		cfg.Policy = p
-		cfg.Trace = TraceConfig{Level: trace.LevelFull}
-		check(fmt.Sprintf("reliability-churn/%s", p), Spec{Config: cfg, Scenario: &sc})
-
-		// Dyadic arrivals and full-width service times: completions land
-		// exactly on arrival instants, and an arrival fires before a
-		// completion at the same instant, so busy nodes draining exactly
-		// now tie with the idle set and must win on rotation distance.
-		cfg = DefaultConfig(p)
-		cfg.Nodes = 8
-		cfg.QueueCap = 4
-		cfg.Trace = TraceConfig{Level: trace.LevelDecisions, TopK: 4}
-		rows := make([]TraceRequest, 1200)
-		for i := range rows {
-			m := 1 + (i*7+i/3)%8
-			rows[i] = TraceRequest{ArrivalS: float64(i) / 8, WorkS: float64(m * cfg.SprintWidth / 8)}
-		}
-		check(fmt.Sprintf("coincident/%s", p), Spec{Config: cfg, Replay: rows})
 	}
 }
 

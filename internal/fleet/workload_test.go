@@ -48,99 +48,6 @@ func mustWorkload(t *testing.T, cfg Config, w WorkloadSpec) Metrics {
 	return m
 }
 
-// TestWorkloadDeterministicAcrossWorkers: a workload run is part of the
-// engine's byte-identity contract — sharding the event loop must not
-// move a single admission decision, dequeue choice, or per-class float.
-func TestWorkloadDeterministicAcrossWorkers(t *testing.T) {
-	for _, coord := range []Coordination{NoCoordination, TokenPermit} {
-		cfg, w := tenantWorkload()
-		cfg.Coordination = coord
-		base := mustWorkload(t, cfg, w)
-		if len(base.Classes) != 2 || len(base.Tenants) != 3 {
-			t.Fatalf("%s: got %d classes, %d tenants", coord, len(base.Classes), len(base.Tenants))
-		}
-		for _, workers := range []int{1, 2, 4, 7} {
-			cfg.Workers = workers
-			m := mustWorkload(t, cfg, w)
-			if !reflect.DeepEqual(base, m) {
-				t.Errorf("%s: workers=%d diverged from the serial run:\n%+v\n%+v", coord, workers, base, m)
-			}
-		}
-	}
-}
-
-// TestReplayReproducesRecordedRun closes the record→replay loop in
-// process: record a plain run with the flight recorder, convert the
-// recording to a replayable trace, and replay it under the same config —
-// the metrics must be identical, drops and all.
-func TestReplayReproducesRecordedRun(t *testing.T) {
-	cfg := DefaultConfig(SprintAware)
-	cfg.Nodes = 8
-	cfg.Requests = 2000
-	cfg.Seed = 9
-	cfg.ArrivalRatePerS = 3 * float64(cfg.Nodes) / cfg.MeanWorkS
-	cfg.QueueCap = 2 // force drops so replay must regenerate them too
-	want := mustSimulate(t, cfg)
-	if want.Dropped == 0 {
-		t.Fatal("contrast config produced no drops; the test needs some to regenerate")
-	}
-	_, tr, err := Run(context.Background(), Spec{Config: traced(cfg)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows, err := ReplayFromRecording(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != cfg.Requests {
-		t.Fatalf("recording yielded %d replay rows, want %d", len(rows), cfg.Requests)
-	}
-	got, _, err := Run(context.Background(), Spec{Config: cfg, Replay: rows})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("replay of the recording diverged from the recorded run:\n%+v\n%+v", want, got)
-	}
-}
-
-// TestReplayShardWorkers: a labeled replay arms the workload layer, and
-// the run must still be byte-identical at any Workers count.
-func TestReplayShardWorkers(t *testing.T) {
-	rows := make([]TraceRequest, 0, 600)
-	at := 0.0
-	for i := 0; i < 600; i++ {
-		at += 0.1 + float64(i%7)*0.03
-		rows = append(rows, TraceRequest{
-			ArrivalS: at,
-			WorkS:    0.5 + float64(i%5),
-			Width:    1 + i%3,
-			Tenant:   []string{"a", "b", "c"}[i%3],
-			Class:    []string{"gold", "best-effort", "gold"}[i%3],
-		})
-	}
-	cfg := DefaultConfig(SprintAware)
-	cfg.Nodes = 8
-	cfg.Seed = 5
-	base, _, err := Run(context.Background(), Spec{Config: cfg, Replay: rows})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.Classes) != 2 || len(base.Tenants) != 3 {
-		t.Fatalf("labeled replay got %d classes, %d tenants", len(base.Classes), len(base.Tenants))
-	}
-	for _, workers := range []int{1, 2, 4, 7} {
-		cfg.Workers = workers
-		m, _, err := Run(context.Background(), Spec{Config: cfg, Replay: rows})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(base, m) {
-			t.Errorf("workers=%d diverged from the serial replay:\n%+v\n%+v", workers, base, m)
-		}
-	}
-}
-
 // TestTraceRoundTrip: a written CSV trace parses back to bit-identical
 // rows (the golden gate depends on it), and the JSONL encoding parses to
 // the same rows as the CSV.
@@ -203,63 +110,6 @@ func TestTraceParseRejects(t *testing.T) {
 	for i, rows := range bad {
 		if err := ValidateRequestTrace(rows); err == nil {
 			t.Errorf("case %d: validate accepted %+v", i, rows)
-		}
-	}
-}
-
-// TestClassSumsMatchFleetTotals is the per-class bookkeeping contract
-// under the full stack — scenario phases, node churn, reliability faults
-// and retries, every policy × coordination: class and tenant outcome
-// counts partition the fleet totals exactly.
-func TestClassSumsMatchFleetTotals(t *testing.T) {
-	_, sc := flashCrowdChurn()
-	_, w := tenantWorkload()
-	for _, p := range Policies() {
-		for _, coord := range Coordinations() {
-			cfg := DefaultConfig(p)
-			cfg.Nodes = 16
-			cfg.Seed = 3
-			cfg.Coordination = coord
-			cfg.Reliability = Reliability{
-				TimeoutS: 6, MaxRetries: 3, RetryBackoffS: 0.2,
-				RetryBudgetPerS: 2, RetryBurst: 4,
-				GrayFrac: 0.2, GraySlowdownX: 6, FaultProb: 0.02,
-			}
-			m, _, err := Run(context.Background(), Spec{Config: cfg, Scenario: &sc, Workload: &w})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", p, coord, err)
-			}
-			var offered, completed, dropped, timedOut, shed, admShed, retries int
-			for _, c := range m.Classes {
-				offered += c.Offered
-				completed += c.Completed
-				dropped += c.Dropped
-				timedOut += c.TimedOut
-				shed += c.Shed
-				admShed += c.AdmissionShed
-				retries += c.Retries
-				if got := c.Completed + c.Dropped + c.TimedOut + c.Shed; got+c.Offered != 2*c.Offered {
-					t.Errorf("%s/%s: class %s outcomes %d != offered %d", p, coord, c.Name, got, c.Offered)
-				}
-			}
-			if offered != m.Requests || completed != m.Completed || dropped != m.Dropped ||
-				timedOut != m.TimedOut || shed != m.Shed || admShed != m.AdmissionShed || retries != m.Retries {
-				t.Errorf("%s/%s: class sums (off %d, done %d, drop %d, t-out %d, shed %d, adm %d, retry %d) != fleet totals (%d, %d, %d, %d, %d, %d, %d)",
-					p, coord, offered, completed, dropped, timedOut, shed, admShed, retries,
-					m.Requests, m.Completed, m.Dropped, m.TimedOut, m.Shed, m.AdmissionShed, m.Retries)
-			}
-			tOffered, tCompleted := 0, 0
-			for _, tn := range m.Tenants {
-				tOffered += tn.Offered
-				tCompleted += tn.Completed
-			}
-			if tOffered != m.Requests || tCompleted != m.Completed {
-				t.Errorf("%s/%s: tenant sums (off %d, done %d) != fleet totals (%d, %d)",
-					p, coord, tOffered, tCompleted, m.Requests, m.Completed)
-			}
-			if m.JainFairness < 0 || m.JainFairness > 1 {
-				t.Errorf("%s/%s: Jain fairness %f outside [0,1]", p, coord, m.JainFairness)
-			}
 		}
 	}
 }
@@ -468,44 +318,5 @@ func TestWorkloadValidate(t *testing.T) {
 		if _, _, err := Run(context.Background(), spec); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-}
-
-// TestOneCohortMatchesFleet: a one-phase, one-class flat workload has a
-// single arrival cohort, so its phase, its class, and the fleet must
-// report the same counts and the same latency distribution bit for bit.
-// The trace runs past the exact-quantile cutoff, so the streaming
-// histograms and the streaming means are held to that too.
-func TestOneCohortMatchesFleet(t *testing.T) {
-	if testing.Short() {
-		t.Skip("trace above the exact-quantile cutoff")
-	}
-	cfg := DefaultConfig(SprintAware)
-	cfg.Nodes = 64
-	w := WorkloadSpec{
-		Classes: []SLOClass{{Name: "all"}},
-		Tenants: []TenantSpec{{Name: "t", Class: "all",
-			Arrival: ArrivalSpec{Process: "poisson", RatePerS: 250},
-			Work:    WorkSpec{Dist: "exp", MeanS: 0.2}}},
-		DurationS: 600,
-	}
-	m := mustWorkload(t, cfg, w)
-	if !m.ApproxQuantiles {
-		t.Fatalf("%d requests did not stream past the cutoff", m.Requests)
-	}
-	if len(m.Phases) != 1 || len(m.Classes) != 1 {
-		t.Fatalf("got %d phases, %d classes; want one of each", len(m.Phases), len(m.Classes))
-	}
-	type view struct {
-		Offered, Completed                   int
-		P50S, P95S, P99S, P999S, MaxS, MeanS float64
-	}
-	fleet := view{m.Requests, m.Completed, m.P50S, m.P95S, m.P99S, m.P999S, m.MaxS, m.MeanS}
-	p, c := m.Phases[0], m.Classes[0]
-	if got := (view{p.Offered, p.Completed, p.P50S, p.P95S, p.P99S, p.P999S, p.MaxS, p.MeanS}); got != fleet {
-		t.Errorf("phase cohort disagrees with the fleet:\nphase %+v\nfleet %+v", got, fleet)
-	}
-	if got := (view{c.Offered, c.Completed, c.P50S, c.P95S, c.P99S, c.P999S, c.MaxS, c.MeanS}); got != fleet {
-		t.Errorf("class cohort disagrees with the fleet:\nclass %+v\nfleet %+v", got, fleet)
 	}
 }

@@ -20,8 +20,9 @@
 # is the static gate — gofmt, go vet, the first-party sprintvet
 # analyzers (determinism and hot-path contracts), and govulncheck when
 # it is installed; `make fuzz-smoke` gives the scenario-JSON, workload-
-# spec, trace-replay, and recording-reader fuzzers and the fleet
-# determinism-contract fuzzer a short budget each;
+# spec, and trace-replay fuzzers, the recording codec's differential
+# reader and writer fuzzers, and the fleet determinism-contract fuzzer a
+# short budget each;
 # `make reliability`
 # demos the request-reliability layer (gray stragglers, client timeouts,
 # a budgeted retry storm); `make tenants` runs the multi-tenant workload
@@ -83,17 +84,19 @@ test: vet
 # A short-budget fuzz pass over every strict-decode surface — the
 # scenario JSON loader, the workload-spec loader, the request-trace
 # parser/replayer, and the flight-recording JSONL reader — plus the
-# determinism contract over fuzz-drawn run specs: enough to catch a
-# fresh panic in parsing, validation, or a bounded run, a recording that
-# does not re-encode to a fixed point, or a spec that breaks a contract
-# oracle, without holding up CI. (The go tool takes one -fuzz target per
-# invocation, hence five.)
+# recording writer and the determinism contract over fuzz-drawn run
+# specs: enough to catch a fresh panic in parsing, validation, or a
+# bounded run, a fast-path reader that disagrees with the encoding/json
+# reference, a writer whose bytes differ from encoding/json's, or a spec
+# that breaks a contract oracle, without holding up CI. (The go tool
+# takes one -fuzz target per invocation, hence six.)
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScenarioJSON -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzWorkloadSpecJSON -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzTraceReplay -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzRunContract -fuzztime 10s ./internal/fleet
 	$(GO) test -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzWriteJSONL -fuzztime 10s ./internal/trace
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
@@ -102,7 +105,7 @@ benchsmoke:
 	$(GO) test -bench=. -benchtime=1x -timeout 10m -run=^$$ .
 
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkFleetScale|BenchmarkFleetSweep|BenchmarkRackSweep|BenchmarkFleetScenario|BenchmarkFleetTrace|BenchmarkFleetReliability|BenchmarkFleetTenants' \
+	$(GO) test -run '^$$' -bench 'BenchmarkFleetScale|BenchmarkFleetSweep|BenchmarkRackSweep|BenchmarkFleetScenario|BenchmarkFleetTrace|BenchmarkTraceCodec|BenchmarkFleetReliability|BenchmarkFleetTenants' \
 		-benchmem -benchtime=1x -timeout 10m . > BENCH_fleet.txt
 	cat BENCH_fleet.txt
 	$(GO) run ./cmd/benchjson < BENCH_fleet.txt > BENCH_fleet.json

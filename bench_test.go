@@ -6,6 +6,7 @@
 package sprinting_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -250,12 +251,7 @@ func BenchmarkFleetScaleDecoupledParallel(b *testing.B) {
 // back in fails TestTracedAltsLookupCost, which this benchmark's loose
 // gate tolerance would not catch.
 func BenchmarkFleetTrace(b *testing.B) {
-	cfg := sprinting.DefaultFleetConfig(sprinting.FleetSprintAware)
-	cfg.Nodes = 1000
-	cfg.Requests = 100_000
-	cfg.Coordination = sprinting.RackTokenPermit
-	cfg.RackSize = 16
-	cfg.Trace = sprinting.TraceConfig{Level: sprinting.TraceFull, TopK: 3, WindowS: 5}
+	cfg := fleetTraceConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -273,17 +269,54 @@ func BenchmarkFleetTrace(b *testing.B) {
 // contract (the allocation half of which TestSimulateSteadyStateAllocations
 // pins exactly).
 func BenchmarkFleetTraceOff(b *testing.B) {
+	cfg := fleetTraceConfig()
+	cfg.Trace.Level = sprinting.TraceOff
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := sprinting.RunFleet(context.Background(), sprinting.FleetSpec{Config: cfg}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// fleetTraceConfig is BenchmarkFleetTrace's fleet: 1000 sprint-aware
+// nodes behind token-permit racks of 16, 100k requests, recorded at full
+// level with top-3 probes and 5 s windows.
+func fleetTraceConfig() sprinting.FleetConfig {
 	cfg := sprinting.DefaultFleetConfig(sprinting.FleetSprintAware)
 	cfg.Nodes = 1000
 	cfg.Requests = 100_000
 	cfg.Coordination = sprinting.RackTokenPermit
 	cfg.RackSize = 16
 	cfg.Trace = sprinting.TraceConfig{Level: sprinting.TraceFull, TopK: 3, WindowS: 5}
-	cfg.Trace.Level = sprinting.TraceOff
+	return cfg
+}
+
+// BenchmarkTraceCodec measures the JSONL codec on BenchmarkFleetTrace's
+// recording, recorded and written once outside the timer so the output
+// buffer is already grown: each iteration writes the recording and reads
+// it back. The codec is reflection-free and the reader takes its
+// payloads from slab chunks, so allocs/op is a few hundred for ~470k
+// records; canonical lines falling back to encoding/json, or a
+// per-record allocation, would multiply both ns/op and allocs/op.
+func BenchmarkTraceCodec(b *testing.B) {
+	_, tr, err := sprinting.RunFleet(context.Background(), sprinting.FleetSpec{Config: fleetTraceConfig()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSONL(&buf); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := sprinting.RunFleet(context.Background(), sprinting.FleetSpec{Config: cfg}); err != nil {
+		buf.Reset()
+		if err := tr.WriteJSONL(&buf); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sprinting.ReadFleetTrace(bytes.NewReader(buf.Bytes())); err != nil {
 			b.Fatal(err)
 		}
 	}

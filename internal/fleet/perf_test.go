@@ -4,6 +4,8 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"sprinting/internal/trace"
 )
 
 // TestSimulateSteadyStateAllocations is the allocation-budget guard for
@@ -102,6 +104,51 @@ func TestSimulateSteadyStateAllocations(t *testing.T) {
 		t.Errorf("scenario+workload: 5× the timeline cost %.0f extra allocations (%.0f → %.0f); a cohort path is allocating per request",
 			delta, smallAllocs, largeAllocs)
 	}
+}
+
+// TestTracedRunAllocations is the recorder's allocation budget, on
+// BenchmarkFleetTrace's shape (sprint-aware, token-permit racks,
+// full-level tracing, top-3 probes): records go into a chunked log and
+// payloads into trace.Slabs chunks, so 5× the requests — tens of
+// thousands more records — may cost about one extra allocation per
+// hundred records. A per-record new or &T{} in emit, event, decision or
+// the alternatives would cost one or more per record and fail loudly.
+func TestTracedRunAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation perturbs allocation counts")
+	}
+	cfgFor := func(requests int) Config {
+		cfg := DefaultConfig(SprintAware)
+		cfg.Nodes = 64
+		cfg.Requests = requests
+		cfg.Seed = 3
+		cfg.Coordination = TokenPermit
+		cfg.RackSize = 16
+		cfg.Trace = TraceConfig{Level: trace.LevelFull, TopK: 3, WindowS: 5}
+		return cfg
+	}
+	ctx := context.Background()
+	run := func(requests int) (allocs float64, records int) {
+		allocs = testing.AllocsPerRun(3, func() {
+			_, tr, err := Run(ctx, Spec{Config: cfgFor(requests)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			records = len(tr.Records)
+		})
+		return allocs, records
+	}
+	smallAllocs, smallRecords := run(2000)
+	largeAllocs, largeRecords := run(10000)
+	extra := largeRecords - smallRecords
+	if extra < 20000 {
+		t.Fatalf("5× the requests recorded only %d more records; the pin needs tens of thousands", extra)
+	}
+	if delta, limit := largeAllocs-smallAllocs, float64(extra/100+32); delta > limit {
+		t.Errorf("%d more records cost %.0f extra allocations (%.0f → %.0f), want ≤ %.0f; the recorder is allocating per record",
+			extra, delta, smallAllocs, largeAllocs, limit)
+	}
+	t.Logf("%d → %d records: %.0f → %.0f allocations", smallRecords, largeRecords, smallAllocs, largeAllocs)
 }
 
 // TestHedgeSuppressionCounted pins the silent-hedge bugfix: under

@@ -125,7 +125,9 @@ func (s *sim) initShards() {
 // layer armed, whose retry budget and seeded fault/jitter draws are
 // fleet-global state consumed in event order, and any workload run,
 // whose per-class admission buckets and dequeue disciplines are
-// fleet-global too.
+// fleet-global too. Round-robin never hedges, so runParallel merges no
+// hedge counters (CancelledCopies, HedgesIssued, ...): widening this to
+// hedged dispatch means merging those again.
 func (s *sim) parallelOK() bool {
 	return s.scen == nil && s.cfg.Policy == RoundRobin && s.cfg.Coordination != Probabilistic && s.rec == nil && s.rel == nil && s.wl == nil
 }
@@ -253,7 +255,6 @@ func (s *sim) runParallel(ctx context.Context) (Metrics, error) {
 		sub := &subs[k]
 		s.m.Completed += sub.m.Completed
 		s.m.Dropped += sub.m.Dropped
-		s.m.CancelledCopies += sub.m.CancelledCopies
 		s.m.BreakerTrips += sub.m.BreakerTrips
 		s.m.PermitRequests += sub.m.PermitRequests
 		s.m.PermitDenials += sub.m.PermitDenials

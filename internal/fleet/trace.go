@@ -73,10 +73,10 @@ func (tc TraceConfig) withDefaults() TraceConfig {
 	return tc
 }
 
-// cfProbe is one pending counterfactual: alternative alt of the decision
-// at record index rec resolves once pending departures have left node.
+// cfProbe is one pending counterfactual: alternative alt of decision d
+// resolves once pending departures have left node.
 type cfProbe struct {
-	rec     int32
+	d       *trace.Decision
 	alt     int32
 	node    int32
 	pending int32
@@ -97,6 +97,12 @@ type recorder struct {
 	cfg TraceConfig
 	tr  *trace.Trace
 	seq uint64
+	// log collects the records until finalize hands them to tr, and
+	// slabs holds their payloads: a handful of chunk allocations per run
+	// instead of one per record. Probe resolution and finalize write
+	// through the payload pointers into the slabs.
+	log   trace.RecordLog
+	slabs trace.Slabs
 
 	// Counterfactual probes: probes is the arena, watch[node] the indices
 	// of probes waiting on that node's departures.
@@ -159,17 +165,16 @@ func (rec *recorder) begin(s *sim) {
 }
 
 // emit appends one record, stamping time and sequence.
-func (rec *recorder) emit(atS float64, r trace.Record) int {
+func (rec *recorder) emit(atS float64, r trace.Record) {
 	r.AtS = atS
 	r.Seq = rec.seq
 	rec.seq++
-	rec.tr.Records = append(rec.tr.Records, r)
-	return len(rec.tr.Records) - 1
+	rec.log.Append(r)
 }
 
 // event appends a lifecycle event at the current instant.
 func (rec *recorder) event(s *sim, ev trace.Event) {
-	rec.emit(s.nowS, trace.Record{T: "event", Event: &ev})
+	rec.emit(s.nowS, trace.Record{T: "event", Event: rec.slabs.Event(ev)})
 }
 
 // keyKind names the routing key family the policy scores with.
@@ -207,7 +212,7 @@ func (rec *recorder) score(s *sim, n *node, workS float64) float64 {
 // original node).
 func (rec *recorder) decision(s *sim, ri int32, kind string, chosen *node, start, exclude int, enqueued bool) {
 	r := &s.reqs[ri]
-	d := &trace.Decision{
+	d := rec.slabs.Decision(trace.Decision{
 		Kind:    kind,
 		Req:     int(ri),
 		Phase:   int(r.phase),
@@ -217,7 +222,7 @@ func (rec *recorder) decision(s *sim, ri int32, kind string, chosen *node, start
 		WorkS:   r.workS,
 		DoneS:   -1,
 		BestAlt: -1,
-	}
+	})
 	if chosen != nil {
 		d.Node = chosen.id
 		if s.cfg.Policy == RoundRobin {
@@ -234,9 +239,9 @@ func (rec *recorder) decision(s *sim, ri int32, kind string, chosen *node, start
 			rec.inflight++
 		}
 	}
-	idx := rec.emit(s.nowS, trace.Record{T: "decision", Decision: d})
+	rec.emit(s.nowS, trace.Record{T: "decision", Decision: d})
 	if s.cfg.Policy != RoundRobin && chosen != nil {
-		rec.collectAlts(s, d, idx, r.workS, chosen.id, exclude, start)
+		rec.collectAlts(s, d, r.workS, chosen.id, exclude, start)
 	}
 }
 
@@ -250,7 +255,7 @@ func (rec *recorder) decision(s *sim, ri int32, kind string, chosen *node, start
 // index segments (indexAlts); refDispatch runs, which build none, take
 // the O(N) reference scan (scanAlts). A decision with no eligible
 // alternative keeps Alts nil, which is what the JSONL reader returns.
-func (rec *recorder) collectAlts(s *sim, d *trace.Decision, idx int, workS float64, chosen, exclude, start int) {
+func (rec *recorder) collectAlts(s *sim, d *trace.Decision, workS float64, chosen, exclude, start int) {
 	rot := start % len(s.nodes)
 	rec.altScratch = rec.altScratch[:0]
 	rec.altLookups++
@@ -265,7 +270,7 @@ func (rec *recorder) collectAlts(s *sim, d *trace.Decision, idx int, workS float
 	if k == 0 {
 		return
 	}
-	d.Alts = make([]trace.Alt, k)
+	d.Alts = rec.slabs.Alts(k)
 	for ai, c := range rec.altScratch {
 		d.Alts[ai] = trace.Alt{Node: int(c.node), Key: c.key, HypoDoneS: -1}
 		n := &s.nodes[c.node]
@@ -277,7 +282,7 @@ func (rec *recorder) collectAlts(s *sim, d *trace.Decision, idx int, workS float
 			continue
 		}
 		rec.probes = append(rec.probes, cfProbe{
-			rec: int32(idx), alt: int32(ai), node: c.node,
+			d: d, alt: int32(ai), node: c.node,
 			pending: int32(pending), workS: workS,
 		})
 		rec.watch[c.node] = append(rec.watch[c.node], int32(len(rec.probes)-1))
@@ -477,7 +482,7 @@ func (rec *recorder) departed(s *sim, n *node) {
 			kept = append(kept, pi)
 			continue
 		}
-		rec.tr.Records[p.rec].Decision.Alts[p.alt].HypoDoneS = s.estFinishAt(n, p.workS)
+		p.d.Alts[p.alt].HypoDoneS = s.estFinishAt(n, p.workS)
 	}
 	rec.watch[n.id] = kept
 }
@@ -545,8 +550,8 @@ func (rec *recorder) popSprintsThrough(atS float64) {
 			i = c
 		}
 		rec.sprints = h
-		ev := trace.Event{Kind: "sprint-end", Node: int(ph.node), Rack: -1, Req: -1, Phase: -1}
-		rec.emit(ph.endS, trace.Record{T: "event", Event: &ev})
+		ev := rec.slabs.Event(trace.Event{Kind: "sprint-end", Node: int(ph.node), Rack: -1, Req: -1, Phase: -1})
+		rec.emit(ph.endS, trace.Record{T: "event", Event: ev})
 	}
 }
 
@@ -566,7 +571,7 @@ func (rec *recorder) tick(s *sim) {
 
 // sample emits the window ending at boundary b.
 func (rec *recorder) sample(s *sim, b float64) {
-	sm := &trace.Sample{
+	sm := rec.slabs.Sample(trace.Sample{
 		StartS:        rec.winStartS,
 		EndS:          b,
 		Phase:         -1,
@@ -576,7 +581,7 @@ func (rec *recorder) sample(s *sim, b float64) {
 		P99S:          -1,
 		InFlight:      rec.inflight,
 		Sprints:       len(rec.sprints),
-	}
+	})
 	if s.scen != nil {
 		sm.Phase = s.scen.cur
 	}
@@ -586,8 +591,8 @@ func (rec *recorder) sample(s *sim, b float64) {
 		sm.P99S = series.Quantile(rec.winLat, 0.99)
 	}
 	if len(s.racks) > 0 {
-		sm.RackDrawW = make([]float64, len(s.racks))
-		sm.RackBufferJ = make([]float64, len(s.racks))
+		sm.RackDrawW = rec.slabs.Floats(len(s.racks))
+		sm.RackBufferJ = rec.slabs.Floats(len(s.racks))
 		for i := range s.racks {
 			r := &s.racks[i]
 			sm.RackDrawW[i] = r.drawW()
@@ -617,6 +622,7 @@ func (rec *recorder) finalize(s *sim) {
 	if rec.winDone > 0 || rec.inflight > 0 || len(rec.winLat) > 0 {
 		rec.sample(s, rec.nextS)
 	}
+	rec.tr.Records = rec.log.Records()
 	for i := range rec.tr.Records {
 		d := rec.tr.Records[i].Decision
 		if d == nil {

@@ -2,8 +2,21 @@
 // schema of the records internal/fleet's recorder emits (dispatch
 // decisions with their rejected alternatives, lifecycle events, rolling
 // timeline samples), the in-memory Trace container that holds one run's
-// recording, and the JSONL writer plus the summary helpers the CLI's
-// -trace-summary table is built from.
+// recording, the slabs its payloads are allocated from, the JSONL codec,
+// and the summary helpers the CLI's -trace-summary table is built from.
+//
+// The codec is specific to the Record schema and uses no reflection.
+// WriteJSONL writes exactly the bytes encoding/json would, which is the
+// canonical line form: fixed key order, no whitespace, plain integers,
+// JSON-grammar floats and unescaped ASCII strings. ReadJSONL parses
+// canonical lines directly and hands any other line to the strict
+// encoding/json decoder, so it accepts and decodes exactly what that
+// decoder does (codec.go).
+//
+// Payloads are allocated from Slabs and records collected in a
+// RecordLog, both in fixed-size chunks that are never regrown. A
+// recording's records alias those chunks, and the recorder resolves
+// counterfactual probes by writing through them (slab.go).
 //
 // The package is deliberately passive — it never touches simulation
 // state. The fleet recorder appends records in the exact global event
@@ -13,11 +26,7 @@
 package trace
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 )
@@ -166,113 +175,6 @@ type Record struct {
 type Trace struct {
 	Meta    Meta
 	Records []Record
-}
-
-// metaLine is the JSONL header line wrapper.
-type metaLine struct {
-	T    string `json:"t"`
-	Meta Meta   `json:"meta"`
-}
-
-// WriteJSONL serializes the trace as JSON Lines: a meta header line
-// followed by one line per record, in record order. The bytes are a
-// deterministic function of the Trace.
-func (tr *Trace) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(metaLine{T: "meta", Meta: tr.Meta}); err != nil {
-		return err
-	}
-	for i := range tr.Records {
-		if err := enc.Encode(&tr.Records[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ReadJSONL parses a recording serialized by WriteJSONL: the meta header
-// line followed by one record per line. Decoding is strict — the first
-// non-blank line must be the meta header, unknown fields are rejected,
-// each line holds exactly one JSON object and nothing after it, and each
-// record's tag names its one present payload — so a recording round-trips
-// exactly: ReadJSONL(WriteJSONL(tr)) == tr.
-func ReadJSONL(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	tr := &Trace{}
-	sawMeta := false
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		if !sawMeta {
-			var ml metaLine
-			if err := decodeLine(line, &ml); err != nil || ml.T != "meta" {
-				return nil, fmt.Errorf("trace: line %d: first line must be the meta header {\"t\":\"meta\",...}", lineNo)
-			}
-			tr.Meta = ml.Meta
-			sawMeta = true
-			continue
-		}
-		var rec Record
-		if err := decodeLine(line, &rec); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
-		}
-		if err := rec.checkPayload(); err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
-		}
-		tr.Records = append(tr.Records, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
-	}
-	if !sawMeta {
-		return nil, fmt.Errorf("trace: empty recording (no meta header)")
-	}
-	return tr, nil
-}
-
-// decodeLine strictly decodes one trimmed line into v: unknown fields
-// are errors, and so is anything after the object.
-func decodeLine(line []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if off := dec.InputOffset(); off != int64(len(line)) {
-		return fmt.Errorf("unexpected data after the object at byte %d", off)
-	}
-	return nil
-}
-
-// checkPayload enforces the Record contract: the tag names exactly one
-// present payload.
-func (r *Record) checkPayload() error {
-	n := 0
-	for _, present := range []bool{r.Decision != nil, r.Event != nil, r.Sample != nil} {
-		if present {
-			n++
-		}
-	}
-	ok := n == 1
-	switch r.T {
-	case "decision":
-		ok = ok && r.Decision != nil
-	case "event":
-		ok = ok && r.Event != nil
-	case "sample":
-		ok = ok && r.Sample != nil
-	default:
-		return fmt.Errorf("unknown record tag %q (want decision|event|sample)", r.T)
-	}
-	if !ok {
-		return fmt.Errorf("%q record must carry exactly one payload, its own; it carries %d", r.T, n)
-	}
-	return nil
 }
 
 // DecisionAt pairs a decision record with its timestamp; the Decision

@@ -178,35 +178,3 @@ func TestReadJSONLRejects(t *testing.T) {
 		}
 	}
 }
-
-// FuzzReadJSONL fuzzes the recording reader: it must never panic, and
-// any recording it accepts must re-encode to a fixed point —
-// Write(Read(Write(Read(x)))) == Write(Read(x)).
-func FuzzReadJSONL(f *testing.F) {
-	f.Add([]byte(recordingHead))
-	f.Add([]byte(metaHead))
-	for _, tc := range malformedRecordings {
-		f.Add([]byte(tc.in))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ReadJSONL(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var once bytes.Buffer
-		if err := tr.WriteJSONL(&once); err != nil {
-			t.Fatalf("accepted recording failed to re-encode: %v", err)
-		}
-		back, err := ReadJSONL(bytes.NewReader(once.Bytes()))
-		if err != nil {
-			t.Fatalf("re-encoded recording failed to parse: %v\n%s", err, once.Bytes())
-		}
-		var twice bytes.Buffer
-		if err := back.WriteJSONL(&twice); err != nil {
-			t.Fatalf("second re-encode failed: %v", err)
-		}
-		if !bytes.Equal(once.Bytes(), twice.Bytes()) {
-			t.Fatalf("re-encoding is not a fixed point:\n%s\n%s", once.Bytes(), twice.Bytes())
-		}
-	})
-}
